@@ -12,7 +12,6 @@ from multifrac import (
     atom_certificate,
     build_generator_set,
     classify_cyclic,
-    is_hereditarily_atomic,
 )
 
 
@@ -38,10 +37,10 @@ def main() -> None:
     print("Multi-generator sets inherit flags from their members:")
     hered = build_generator_set([Fraction(5, 2), Fraction(7, 3)])
     print(f"  {[str(b) for b in hered.bases]}: hereditarily atomic = "
-          f"{is_hereditarily_atomic(hered)}")
+          f"{hered.is_hereditarily_atomic}")
     mixed = build_generator_set([Fraction(5, 2), Fraction(2, 3)])
     print(f"  {[str(b) for b in mixed.bases]}: hereditarily atomic = "
-          f"{is_hereditarily_atomic(mixed)}, chain-condition obstruction = "
+          f"{mixed.is_hereditarily_atomic}, chain-condition obstruction = "
           f"{accp_obstruction(mixed)}")
     print()
     print("A proper fraction generator always breaks the ascending chain")

@@ -18,7 +18,6 @@ from .factorizer import (
     evaluate,
     hub_normalize,
     is_max_length,
-    min_length_factorization,
     rewrite_chain,
     solve_hub,
 )
@@ -43,7 +42,6 @@ from .monoid import (
     build_generator_set,
     canonical_atoms,
     classify_cyclic,
-    is_hereditarily_atomic,
 )
 from .constructs import (
     delta_realization_check,
@@ -78,13 +76,11 @@ __all__ = [
     "hub_normalize",
     "hub_witness_sets",
     "improper_divisor_pairs",
-    "is_hereditarily_atomic",
     "is_length_set_infinite",
     "is_max_length",
     "is_single_difference",
     "length_set",
     "length_set_proper",
-    "min_length_factorization",
     "nonatomic_family",
     "nonatomic_witness",
     "rewrite_chain",

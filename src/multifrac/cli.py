@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+from . import __version__
 from .constructs import (
     PrimeSeed,
     delta_realization_check,
@@ -43,7 +44,6 @@ from .lengths import (
     aap_check,
     delta_of_element,
     delta_of_length_set,
-    delta_sample,
     delta_truncation_bound,
     hub_witness_sets,
     improper_divisor_pairs,
@@ -59,7 +59,7 @@ from .monoid import (
     classify_cyclic,
     generator_set_to_dict,
 )
-from .qcore import den, format_rational, num, parse_rational
+from .qcore import format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_bases(ns) -> GeneratorSet:
     if ns.bases_file:
-        text = Path(ns.bases_file).read_text()
+        try:
+            text = Path(ns.bases_file).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read --bases-file {ns.bases_file!r}: {exc}") from None
         raw = text.replace(",", " ").split()
     elif ns.bases:
         raw = ns.bases.replace(",", " ").split()
@@ -228,7 +231,7 @@ def cmd_lengths(ns) -> dict:
 def _random_sample(B: GeneratorSet, trials: int, seed: int, e_max: int) -> list:
     """Random candidate values num/den with den a product of base denominators."""
     rng = random.Random(seed)
-    dens = [den(b) for b in B.bases]
+    dens = [b.denominator for b in B.bases]
     sample = []
     for _ in range(trials):
         d = 1
@@ -254,17 +257,12 @@ def cmd_delta(ns) -> dict:
     sample = sorted(set(_random_sample(B, ns.trials, ns.seed, ns.emax)))
     caps = SearchCaps(e_max=ns.emax, len_max=64)
     per_element = []
-    members = skipped = 0
+    union: set[int] = set()
     for v in sample:
-        if solve_hub(v, B) is None:
-            skipped += 1
-            continue
-        members += 1
-        delta = delta_of_element(v, B, caps)
-        per_element.append(
-            {"x": format_rational(v), "delta": sorted(delta)}
-        )
-    union = delta_sample(B, sample, caps)
+        if solve_hub(v, B) is not None:
+            delta = delta_of_element(v, B, caps)
+            union |= delta
+            per_element.append({"x": format_rational(v), "delta": sorted(delta)})
     single = is_single_difference(B)
     exact = single is not None and any(
         e["delta"] == [single] for e in per_element
@@ -275,8 +273,8 @@ def cmd_delta(ns) -> dict:
         "trials": ns.trials,
         "seed": ns.seed,
         "sample_size": len(sample),
-        "members": members,
-        "skipped": skipped,
+        "members": len(per_element),
+        "skipped": len(sample) - len(per_element),
         "deltas": sorted(union),
         "lower_bound": True,
         "single_difference": single,
@@ -286,6 +284,8 @@ def cmd_delta(ns) -> dict:
 
 
 def cmd_unions(ns) -> dict:
+    if ns.aap_d is not None and (ns.aap_d < 1 or ns.aap_n < 0):
+        raise ParseError("--aap-d must be positive and --aap-n nonnegative")
     B = _parse_bases(ns)
     caps = _caps(ns)
     report = union_of_lengths(ns.k, B, caps, bound=ns.cap)
@@ -321,7 +321,10 @@ def cmd_construct(ns) -> dict:
     if ns.kind == "nonatomic":
         seed = None
         if ns.seed_primes:
-            primes = tuple(int(s) for s in ns.seed_primes.replace(",", " ").split())
+            try:
+                primes = tuple(int(s) for s in ns.seed_primes.replace(",", " ").split())
+            except ValueError:
+                raise ParseError(f"--seed-primes takes integers: {ns.seed_primes!r}") from None
             seed = PrimeSeed(primes, "nonatomic-family")
         B = nonatomic_family(ns.n, seed)
         witness = nonatomic_witness(B, m=ns.m, N_max=ns.nmax)
@@ -400,8 +403,8 @@ def _difftest_case(x, B: GeneratorSet, caps: SearchCaps) -> dict:
         for step in chain:
             before = state.length
             state = apply_rewrite(state, step, B)
-            n_b = num(B.bases[step.base_index])
-            d_b = den(B.bases[step.base_index])
+            n_b = B.bases[step.base_index].numerator
+            d_b = B.bases[step.base_index].denominator
             expected = (
                 step.multiplicity * (n_b - d_b)
                 if step.direction == "down"
@@ -433,17 +436,21 @@ def difftest(B: GeneratorSet, trials: int, caps: SearchCaps, rng_seed: int) -> d
         terms = {}
         for i, b in enumerate(B.bases):
             for e in (1, 2):
-                c = rng.randint(0, den(b) - 1)
+                c = rng.randint(0, b.denominator - 1)
                 if c:
                     terms[(i, e)] = c
         z = Factorization.from_terms(rng.randint(0, 3), terms)
         cases.append(_difftest_case(evaluate(z, B), B, caps))
+    return _difftest_report(B, caps, rng_seed, cases)
+
+
+def _difftest_report(B: GeneratorSet, caps: SearchCaps, seed: int, cases: list) -> dict:
     return {
         "command": "difftest",
         "bases": [format_rational(b) for b in B.bases],
         "caps": {"e_max": caps.e_max, "len_max": caps.len_max},
-        "trials": trials,
-        "seed": rng_seed,
+        "trials": len(cases),
+        "seed": seed,
         "cases": cases,
         "ok": all(c["ok"] for c in cases),
     }
@@ -454,15 +461,7 @@ def cmd_difftest(ns) -> dict:
     caps = _caps(ns)
     if ns.x is not None:
         case = _difftest_case(parse_rational(ns.x), B, caps)
-        return {
-            "command": "difftest",
-            "bases": [format_rational(b) for b in B.bases],
-            "caps": {"e_max": caps.e_max, "len_max": caps.len_max},
-            "trials": 1,
-            "seed": ns.seed,
-            "cases": [case],
-            "ok": case["ok"],
-        }
+        return _difftest_report(B, caps, ns.seed, [case])
     return difftest(B, ns.trials, caps, ns.seed)
 
 
@@ -561,28 +560,48 @@ def parse_command(argv=None) -> Command:
     )
 
 
-def _cache_key(cmd: Command) -> str:
-    blob = json.dumps(
-        {"verb": cmd.verb, "params": cmd.params}, sort_keys=True, default=str
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _with_parsed_bases(params: dict) -> dict:
+    """Parameters with --bases/--bases-file replaced by the bases they parse to.
+
+    A cache key built from these follows the contents of a bases file,
+    not its path, and equal generator sets share one entry.
+    """
+    if not (params.get("bases") or params.get("bases_file")):
+        return params
+    B = _parse_bases(SimpleNamespace(**params))
+    return {**params, "bases": ",".join(map(format_rational, B.bases)), "bases_file": None}
 
 
 def run(cmd: Command) -> dict:
-    """Dispatch one command to its verb handler, through the cache if set."""
-    cache_file = None
-    if cmd.cache_dir:
-        cache_file = Path(cmd.cache_dir) / f"{_cache_key(cmd)}.json"
-        if cache_file.exists():
-            return json.loads(cache_file.read_text())["report"]
-    report = _HANDLERS[cmd.verb](SimpleNamespace(**cmd.params))
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "manifest": {"verb": cmd.verb, "params": cmd.params},
-            "report": report,
-        }
-        cache_file.write_text(json.dumps(entry, sort_keys=True, default=str))
+    """Dispatch one command to its verb handler, through the cache if set.
+
+    The cache key covers the verb, the parameters with the bases as
+    parsed, and the package version.  An entry that cannot be read back
+    counts as a miss and is rewritten; entries are written to a
+    temporary file first and moved into place, so a reader never sees a
+    partial one.
+    """
+    if not cmd.cache_dir:
+        return _HANDLERS[cmd.verb](SimpleNamespace(**cmd.params))
+    params = _with_parsed_bases(cmd.params)
+    blob = json.dumps(
+        {"verb": cmd.verb, "params": params, "version": __version__},
+        sort_keys=True,
+        default=str,
+    )
+    cache_file = Path(cmd.cache_dir) / f"{hashlib.sha256(blob.encode()).hexdigest()}.json"
+    try:
+        cached = json.loads(cache_file.read_text())["report"]
+    except (OSError, ValueError, LookupError, TypeError):
+        cached = None
+    if isinstance(cached, dict):
+        return cached
+    report = _HANDLERS[cmd.verb](SimpleNamespace(**params))
+    cache_file.parent.mkdir(parents=True, exist_ok=True)
+    entry = {"manifest": {"verb": cmd.verb, "params": params}, "report": report}
+    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(entry, sort_keys=True, default=str))
+    os.replace(tmp, cache_file)
     return report
 
 

@@ -18,7 +18,7 @@ from .exceptions import BadLevel, BadSeed
 from .lengths import MapUnion, delta_of_element, length_set
 from .factorizer import Factorization, SearchCaps, solve_hub
 from .monoid import GeneratorSet, build_generator_set
-from .qcore import Rational, den, format_rational, is_prime, num
+from .qcore import Rational, format_rational, is_prime
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def nonatomic_witness(
         raise BadLevel("the exponent m must be positive")
     by_den: dict[int, list[int]] = {}
     for b in B.bases:
-        by_den.setdefault(den(b), []).append(num(b))
+        by_den.setdefault(b.denominator, []).append(b.numerator)
     shared = [q for q, nums in by_den.items() if len(nums) == 2]
     if len(shared) != 1:
         raise BadSeed("expected exactly one denominator shared by two generators")
@@ -265,9 +265,9 @@ def delta_realization_check(
     i_even = B.bases.index(b_even)
     i_odd = B.bases.index(b_odd)
     z = Factorization.from_terms(
-        0, {(i_even, 2): num(b_even), (i_odd, 2): num(b_odd)}
+        0, {(i_even, 2): b_even.numerator, (i_odd, 2): b_odd.numerator}
     )
-    x = num(b_even) * b_even**2 + num(b_odd) * b_odd**2
+    x = b_even.numerator * b_even**2 + b_odd.numerator * b_odd**2
     hub = solve_hub(x, B)
     assert hub == z, "the witness combination must already be the hub"
     lengths = length_set(x, B, caps)
@@ -276,7 +276,7 @@ def delta_realization_check(
     # First generator beyond the truncation: the even one of level K + 1,
     # whose numerator is the smallest among all excluded levels.
     next_num = extended.primes[2 * K] - 2 * d * (K + 1)
-    bound = -(-num(x) // den(x)) * max(den(b) for b in B.bases)
+    bound = -(-x.numerator // x.denominator) * max(b.denominator for b in B.bases)
     return DeltaRealizationReport(
         d=d,
         k=k,

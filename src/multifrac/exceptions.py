@@ -15,14 +15,6 @@ class ZeroDenominator(MultifracError):
     code = "ZeroDenominator"
 
 
-class NegativeValue(MultifracError):
-    code = "NegativeValue"
-
-
-class NotPrime(MultifracError):
-    code = "NotPrime"
-
-
 class ZeroGenerator(MultifracError):
     code = "ZeroGenerator"
 

@@ -26,14 +26,13 @@ from math import gcd
 
 from .exceptions import (
     BadIndex,
-    ImproperBase,
     NotCanonical,
     NotHub,
     ParseError,
     ValueMismatch,
 )
 from .monoid import GeneratorSet
-from .qcore import Rational, den, factorize, format_rational, num, parse_rational
+from .qcore import Rational, factorize, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,8 @@ def hub_normalize(z: Factorization, B: GeneratorSet):
     c0 = z.c0
     steps: list[RewriteStep] = []
     for i in sorted({i for (i, _) in work}):
-        d_i = den(B.bases[i])
-        n_i = num(B.bases[i])
+        d_i = B.bases[i].denominator
+        n_i = B.bases[i].numerator
         top = max(e for (j, e) in work if j == i)
         for e in range(top, 0, -1):
             c = work.get((i, e), 0)
@@ -172,6 +171,11 @@ def solve_hub(x: Rational, B: GeneratorSet) -> Factorization | None:
     the fractional representative suffices.  Peeling levels top-down
     determines all coefficients; the leftover must be a nonnegative
     integer c0.  Every failure mode certifies non-membership.
+
+    When every generator is below 1, the hub is also the unique
+    shortest factorization of x: a downward rewrite trades d(b) copies
+    for n(b) < d(b) copies, so it strictly shortens, and every
+    factorization rewrites down to the hub.
     """
     if not B.is_canonical:
         raise NotCanonical("hub solving requires a canonical generator set")
@@ -182,18 +186,18 @@ def solve_hub(x: Rational, B: GeneratorSet) -> Factorization | None:
     if not B.bases:
         return None
 
-    dx = den(x)
+    dx = x.denominator
     terms: dict[tuple[int, int], int] = {}
     if dx > 1:
         owned: dict[int, dict[int, int]] = {}
         for p, a in factorize(dx).items():
-            owners = [i for i, b in enumerate(B.bases) if den(b) % p == 0]
+            owners = [i for i, b in enumerate(B.bases) if b.denominator % p == 0]
             if not owners:
                 return None
             owned.setdefault(owners[0], {})[p] = a
         for i in sorted(owned):
             b = B.bases[i]
-            d_i, n_i = den(b), num(b)
+            d_i, n_i = b.denominator, b.numerator
             part = owned[i]
             q = 1
             for p, a in part.items():
@@ -219,19 +223,6 @@ def solve_hub(x: Rational, B: GeneratorSet) -> Factorization | None:
     if residue.denominator != 1 or residue < 0:
         return None
     return Factorization.from_terms(int(residue), terms)
-
-
-def min_length_factorization(x: Rational, B: GeneratorSet) -> Factorization | None:
-    """Shortest factorization of x, for canonical sets of proper fractions.
-
-    With every generator below 1, downward rewriting strictly shortens,
-    so the hub is the unique minimum-length factorization.
-    """
-    if not B.is_canonical:
-        raise NotCanonical("minimum-length route requires a canonical set")
-    if B.improper_part:
-        raise ImproperBase("minimum-length route requires all generators below 1")
-    return solve_hub(x, B)
 
 
 def enumerate_factorizations(
@@ -290,7 +281,7 @@ def apply_rewrite(z: Factorization, step: RewriteStep, B: GeneratorSet) -> Facto
     i, e, m = step.base_index, step.exponent, step.multiplicity
     if i >= len(B.bases):
         raise BadIndex(f"no base with index {i}")
-    d_i, n_i = den(B.bases[i]), num(B.bases[i])
+    d_i, n_i = B.bases[i].denominator, B.bases[i].numerator
     work = z.as_mapping()
     c0 = z.c0
     if step.direction == "down":
@@ -357,13 +348,13 @@ def is_max_length(z: Factorization, B: GeneratorSet) -> bool:
         raise NotCanonical("max-length certificate requires a canonical set")
     _check_indices(z, B)
     for i, e, c in z.terms:
-        if c >= den(B.bases[i]):
+        if c >= B.bases[i].denominator:
             raise NotHub(f"coefficient {c} at base {i} exponent {e} is not hub-reduced")
     for i, _, c in z.terms:
-        if c >= min(num(B.bases[i]), den(B.bases[i])):
+        if c >= min(B.bases[i].numerator, B.bases[i].denominator):
             return False
     for i in B.proper_part:
-        if z.c0 >= num(B.bases[i]):
+        if z.c0 >= B.bases[i].numerator:
             return False
     return True
 
@@ -392,11 +383,3 @@ def factorization_from_dict(data: dict, B: GeneratorSet) -> Factorization:
         terms[key] = terms.get(key, 0) + int(t["coeff"])
     return Factorization.from_terms(int(data["c0"]), terms)
 
-
-def rewrite_step_to_dict(step: RewriteStep, B: GeneratorSet) -> dict:
-    return {
-        "base": format_rational(B.bases[step.base_index]),
-        "exponent": step.exponent,
-        "direction": step.direction,
-        "multiplicity": step.multiplicity,
-    }

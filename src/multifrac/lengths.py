@@ -3,16 +3,18 @@
 The length set L(x) collects the lengths of all factorizations of x.
 Over a canonical generator set of proper fractions, every length arises
 from the hub by firing upward chains, and the whole set is a finite
-union of shifted sumsets of arithmetic progressions.  `MapUnion` is the
-exact carrier for such sets: each component is
+union of shifted numerical semigroups.  `MapUnion` is the exact carrier
+for such sets: each component is
 
-    offset + P(d1, l1) + P(d2, l2) + ...
+    offset + <d1, d2, ...>
 
-where P(d, l) = {0, d, 2d, ..., l*d} and l may be None for an unbounded
-progression.  Improper generators contribute only finitely many lengths
-per value, recovered by bounded enumeration, and a mixed set splits
-every factorization across the proper/improper divide, so L(x) becomes
-a finite union of shifted proper-side length sets.
+where <d1, d2, ...> is the additive monoid generated by the steps
+d(b) - n(b) (Rosales & Garcia-Sanchez, *Numerical Semigroups*, 2009,
+ch. 1, up to the gcd of the steps).  Improper generators contribute
+only finitely many lengths per value, recovered by bounded enumeration,
+and a mixed set splits every factorization across the proper/improper
+divide, so L(x) becomes a finite union of shifted proper-side length
+sets.
 
 Derived invariants (delta sets, unions of sets of lengths, almost
 arithmetic progressions) are computed from these descriptions with
@@ -38,57 +40,63 @@ from .factorizer import (
     enumerate_factorizations,
     solve_hub,
 )
-from .monoid import GeneratorSet, build_generator_set, canonical_atoms
-from .qcore import Rational, den, format_rational, num
+from .monoid import (
+    GeneratorSet,
+    canonical_atoms,
+    improper_reduction,
+    proper_reduction,
+)
+from .qcore import Rational, format_rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class MapComponent:
-    """offset + sumset of progressions P(d, l); l None means unbounded."""
+    """offset + the monoid generated by ``steps``; every step is unbounded.
+
+    No steps means the single length ``offset``.  Steps keep the order
+    and multiplicity of the generators they come from.
+    """
 
     offset: int
-    diffs: tuple[tuple[int, int | None], ...] = ()
+    steps: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.offset < 0:
             raise ValueError("offsets are lengths, hence nonnegative")
-        for d, l in self.diffs:
-            if d < 1 or (l is not None and l < 1):
-                raise ValueError(f"bad progression ({d}, {l})")
+        if any(d < 1 for d in self.steps):
+            raise ValueError(f"steps must be positive, got {self.steps}")
 
     def contains(self, v: int) -> bool:
-        """Membership by direct subset-sum over the progressions."""
-        targets = {self.offset}
-        for d, l in self.diffs:
-            spread = set()
-            for t in targets:
-                k_max = (v - t) // d if v >= t else -1
-                if l is not None:
-                    k_max = min(k_max, l)
-                spread.update(t + k * d for k in range(k_max + 1))
-            targets = spread
-        return v in targets
+        """Membership by direct subset-sum over the steps."""
+        reach = {self.offset}
+        for d in self.steps:
+            reach = {t + k * d for t in reach if t <= v for k in range((v - t) // d + 1)}
+        return v in reach
 
     def is_infinite(self) -> bool:
-        return any(l is None for _, l in self.diffs)
-
-    def finite_extent(self) -> int:
-        """Largest value of the bounded progressions' combined reach."""
-        return sum(d * l for d, l in self.diffs if l is not None)
+        return bool(self.steps)
 
     def shifted(self, delta: int) -> "MapComponent":
-        return MapComponent(self.offset + delta, self.diffs)
+        return MapComponent(self.offset + delta, self.steps)
 
 
 @dataclass(frozen=True)
 class MapUnion:
-    """Finite union of MapComponents describing one set of lengths."""
+    """Finite union of MapComponents describing one set of lengths.
+
+    The constructor takes any iterable of components and keeps each one
+    once, sorted by (offset, steps), so equal sets built along different
+    routes compare and serialize alike.
+    """
 
     components: tuple[MapComponent, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "components", tuple(sorted(set(self.components))))
+
     @classmethod
     def from_values(cls, values) -> "MapUnion":
-        return cls(tuple(MapComponent(v) for v in sorted(set(values))))
+        return cls(MapComponent(v) for v in values)
 
     def contains(self, v: int) -> bool:
         return any(c.contains(v) for c in self.components)
@@ -99,7 +107,7 @@ class MapUnion:
     def min_value(self) -> int:
         if not self.components:
             raise ValueError("empty union has no minimum")
-        return min(c.offset for c in self.components)
+        return self.components[0].offset
 
     def is_infinite(self) -> bool:
         return any(c.is_infinite() for c in self.components)
@@ -109,43 +117,28 @@ class MapUnion:
         return [v for v in range(bound + 1) if self.contains(v)]
 
     def shifted(self, delta: int) -> "MapUnion":
-        return MapUnion(tuple(c.shifted(delta) for c in self.components))
+        return MapUnion(c.shifted(delta) for c in self.components)
 
     def merged(self, other: "MapUnion") -> "MapUnion":
-        seen = []
-        for c in self.components + other.components:
-            if c not in seen:
-                seen.append(c)
-        return MapUnion(tuple(sorted(seen, key=_component_key)))
+        return MapUnion(self.components + other.components)
 
     def to_dict(self) -> dict:
         return {
             "components": [
-                {
-                    "offset": c.offset,
-                    "diffs": [
-                        {"d": d, "l": "inf" if l is None else l} for d, l in c.diffs
-                    ],
-                }
+                {"offset": c.offset, "diffs": [{"d": d, "l": "inf"} for d in c.steps]}
                 for c in self.components
             ]
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MapUnion":
+        """Inverse of `to_dict`; a bounded progression (finite ``l``) is rejected."""
         comps = []
         for c in data["components"]:
-            diffs = tuple(
-                (int(t["d"]), None if t["l"] == "inf" else int(t["l"]))
-                for t in c["diffs"]
-            )
-            comps.append(MapComponent(int(c["offset"]), diffs))
-        return cls(tuple(comps))
-
-
-def _component_key(c: MapComponent):
-    """Deterministic ordering; unbounded progressions sort before bounded."""
-    return (c.offset, [(d, l is not None, l or 0) for d, l in c.diffs])
+            if any(t["l"] != "inf" for t in c["diffs"]):
+                raise ValueError("every progression of a set of lengths is unbounded")
+            comps.append(MapComponent(int(c["offset"]), tuple(int(t["d"]) for t in c["diffs"])))
+        return cls(comps)
 
 
 @dataclass(frozen=True)
@@ -167,19 +160,15 @@ class HubWitnessSets:
 
 
 def hub_witness_sets(z: Factorization, B: GeneratorSet) -> HubWitnessSets:
-    v = tuple(sorted({i for (i, _, c) in z.terms if c >= num(B.bases[i])}))
+    v = tuple(sorted({i for (i, _, c) in z.terms if c >= B.bases[i].numerator}))
     indices = range(len(B.bases))
     u_family = [
         combo
         for size in range(len(B.bases) + 1)
         for combo in combinations(indices, size)
-        if sum(num(B.bases[i]) for i in combo) <= z.c0
+        if sum(B.bases[i].numerator for i in combo) <= z.c0
     ]
-    w_family = []
-    for u in u_family:
-        fam = tuple(sorted(set(v) | set(u)))
-        if fam not in w_family:
-            w_family.append(fam)
+    w_family = {tuple(sorted(set(v) | set(u))) for u in u_family}
     return HubWitnessSets(z, v, tuple(u_family), tuple(sorted(w_family)))
 
 
@@ -187,9 +176,9 @@ def length_set_proper(x: Rational, B: GeneratorSet) -> MapUnion:
     """Exact L(x) for a canonical set of proper fractions.
 
     Every factorization of x reaches the hub by downward rewrites, and
-    from the hub the reachable lengths are |hub| plus independent
-    unbounded progressions of step d(b) - n(b), one per generator in a
-    witness family.
+    from the hub the reachable lengths are |hub| plus the monoid
+    generated by the steps d(b) - n(b) of the generators in one witness
+    family: one component per family.
     """
     if not B.is_canonical:
         raise NotCanonical("structural length sets need a canonical set")
@@ -200,20 +189,11 @@ def length_set_proper(x: Rational, B: GeneratorSet) -> MapUnion:
     hub = solve_hub(x, B)
     if hub is None:
         raise NotMember(f"{x} is not in the monoid")
-    witness = hub_witness_sets(hub, B)
-    comps = []
-    for fam in witness.Wfamily:
-        diffs = tuple(
-            (den(B.bases[i]) - num(B.bases[i]), None) for i in fam
-        )
-        comp = MapComponent(hub.length, diffs)
-        if comp not in comps:
-            comps.append(comp)
-    return MapUnion(tuple(sorted(comps, key=_component_key)))
-
-
-def _improper_subset(B: GeneratorSet) -> GeneratorSet:
-    return build_generator_set(B.bases[i] for i in B.improper_part)
+    steps = [b.denominator - b.numerator for b in B.bases]
+    return MapUnion(
+        MapComponent(hub.length, tuple(steps[i] for i in fam))
+        for fam in hub_witness_sets(hub, B).Wfamily
+    )
 
 
 def _improper_value_caps(y: Rational, B_imp: GeneratorSet) -> SearchCaps:
@@ -295,14 +275,14 @@ def improper_divisor_pairs(
         raise NotCanonical("the splitting needs a canonical set")
     if x < 0:
         raise NotMember(f"{x} is negative")
-    B_imp = _improper_subset(B)
+    B_imp = improper_reduction(B)
     if x == 0:
         eff, complete = _clamp_caps(SearchCaps(0, 0), caps)
         return ImproperDivisorReport(
             x, ((Fraction(0), Fraction(0)),), eff, complete
         )
 
-    B_prop = build_generator_set(B.bases[i] for i in B.proper_part)
+    B_prop = proper_reduction(B)
 
     # Term-only improper values t <= x, then integer top-ups t + k.
     term_values = {Fraction(0)}
@@ -359,6 +339,8 @@ def length_set(
     ``caps`` only ever clips the improper-side searches, which are
     self-bounding when it is omitted.
     """
+    if not B.improper_part:
+        return length_set_proper(x, B)
     if not B.is_canonical:
         raise NotCanonical("structural length sets need a canonical set")
     if x == 0:
@@ -366,24 +348,16 @@ def length_set(
     if solve_hub(x, B) is None:
         raise NotMember(f"{x} is not in the monoid")
 
-    if not B.improper_part:
-        return length_set_proper(x, B)
-
-    B_imp = _improper_subset(B)
+    B_imp = improper_reduction(B)
     if not B.proper_part:
         return MapUnion.from_values(improper_lengths(x, B_imp, caps))
 
-    B_prop = build_generator_set(B.bases[i] for i in B.proper_part)
-    report = improper_divisor_pairs(x, B, caps)
-    total = MapUnion()
-    for y, yp in report.pairs:
-        if yp == 0:
-            prop_part = MapUnion((MapComponent(0),))
-        else:
-            prop_part = length_set_proper(yp, B_prop)
-        for l_imp in sorted(improper_lengths(y, B_imp, caps)):
-            total = total.merged(prop_part.shifted(l_imp))
-    return total
+    B_prop = proper_reduction(B)
+    comps = []
+    for y, yp in improper_divisor_pairs(x, B, caps).pairs:
+        prop = length_set_proper(yp, B_prop).components if yp else (MapComponent(0),)
+        comps.extend(c.shifted(l) for l in improper_lengths(y, B_imp, caps) for c in prop)
+    return MapUnion(comps)
 
 
 def is_length_set_infinite(
@@ -395,18 +369,14 @@ def is_length_set_infinite(
 def delta_truncation_bound(mu: MapUnion) -> int:
     """Scan horizon past which an infinite MapUnion repeats its gaps.
 
-    Beyond every offset plus every bounded progression's reach, each
-    component is an eventually periodic set with period dividing the lcm
-    of its unbounded steps; two extra periods cover both the settling
-    range and one full cycle of gaps.
+    Beyond every offset, each component is an eventually periodic set
+    with period dividing the lcm of its steps; two extra periods cover
+    both the settling range and one full cycle of gaps.
     """
     if mu.is_empty():
         return 0
     top_offset = max(c.offset for c in mu.components)
-    extent = max(c.finite_extent() for c in mu.components)
-    steps = [d for c in mu.components for d, l in c.diffs if l is None]
-    period = lcm(*steps) if steps else 1
-    return top_offset + extent + 2 * period
+    return top_offset + 2 * lcm(*(d for c in mu.components for d in c.steps))
 
 
 def delta_of_length_set(mu: MapUnion) -> set[int]:
@@ -428,7 +398,7 @@ def is_single_difference(B: GeneratorSet) -> int | None:
     progression with that difference, so every nonempty delta set is
     exactly {d}.  Empty sets have no common value.
     """
-    gaps = {abs(num(b) - den(b)) for b in B.bases}
+    gaps = {abs(b.numerator - b.denominator) for b in B.bases}
     if len(gaps) == 1:
         return next(iter(gaps))
     return None

@@ -22,7 +22,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .exceptions import DuplicateBase, NotAGenerator, NotCanonical, ZeroGenerator
-from .qcore import Rational, den, format_rational, num, parse_rational
+from .qcore import Rational, format_rational, parse_rational
 
 
 class CyclicCase(str, Enum):
@@ -50,9 +50,9 @@ def classify_cyclic(r: Rational) -> CyclicClassification:
     """
     if r <= 0:
         raise ZeroGenerator(f"generator must be positive, got {r}")
-    if den(r) == 1:
+    if r.denominator == 1:
         return CyclicClassification(r, CyclicCase.INTEGER_BASE, True, "{1}")
-    if num(r) == 1:
+    if r.numerator == 1:
         return CyclicClassification(r, CyclicCase.UNIT_FRACTION_BASE, False, "{}")
     desc = "{(" + format_rational(r) + ")^n : n >= 0}"
     return CyclicClassification(r, CyclicCase.GENERIC, True, desc)
@@ -65,6 +65,11 @@ class GeneratorSet:
     ``proper_part``/``improper_part`` hold indices of the bases below/above
     1; a base equal to 1 is an integer and lands in neither.  ``minimal``
     is None when minimality of the generating set is undecided.
+
+    ``is_hereditarily_atomic`` is True when every submonoid of the
+    monoid of B is atomic.  That holds exactly when no generator is a
+    proper fraction; a proper generator embeds a non-atomic
+    unit-fraction-like tail.
     """
 
     bases: tuple[Rational, ...]
@@ -107,16 +112,16 @@ def build_generator_set(bases) -> GeneratorSet:
         if a == b:
             raise DuplicateBase(f"duplicate generator {a}")
 
-    has_unit = any(num(b) == 1 and den(b) > 1 for b in ordered)
-    has_int = any(den(b) == 1 for b in ordered)
+    has_unit = any(b.numerator == 1 and b.denominator > 1 for b in ordered)
+    has_int = any(b.denominator == 1 for b in ordered)
     coprime = all(
-        gcd(den(a), den(b)) == 1
+        gcd(a.denominator, b.denominator) == 1
         for i, a in enumerate(ordered)
         for b in ordered[i + 1 :]
     )
     canonical = not has_int and coprime
-    hereditary = all(num(b) >= den(b) for b in ordered)
-    obstructed = any(num(b) < den(b) for b in ordered)
+    hereditary = all(b >= 1 for b in ordered)
+    obstructed = any(b < 1 for b in ordered)
     return GeneratorSet(
         bases=ordered,
         has_unit_fraction=has_unit,
@@ -128,15 +133,6 @@ def build_generator_set(bases) -> GeneratorSet:
         proper_part=tuple(i for i, b in enumerate(ordered) if b < 1),
         improper_part=tuple(i for i, b in enumerate(ordered) if b > 1),
     )
-
-
-def is_hereditarily_atomic(B: GeneratorSet) -> bool:
-    """True when every submonoid of the monoid of B is atomic.
-
-    Holds exactly when no generator is a proper fraction; a proper
-    generator embeds a non-atomic unit-fraction-like tail.
-    """
-    return B.is_hereditarily_atomic
 
 
 def accp_obstruction(B: GeneratorSet) -> Rational | None:
@@ -161,10 +157,10 @@ def atom_certificate(b0: Rational, B: GeneratorSet) -> bool:
     if b0 not in B.bases:
         raise NotAGenerator(f"{b0} is not a generator of this set")
     for b in B.bases:
-        if den(b) == 1 or num(b) == 1:
+        if b.denominator == 1 or b.numerator == 1:
             return False
-    d0 = den(b0)
-    return all(gcd(d0, den(b)) == 1 for b in B.bases if b != b0)
+    d0 = b0.denominator
+    return all(gcd(d0, b.denominator) == 1 for b in B.bases if b != b0)
 
 
 class Atom(NamedTuple):
@@ -203,6 +199,11 @@ def proper_reduction(B: GeneratorSet) -> GeneratorSet:
     questions factor through it.
     """
     return build_generator_set(B.bases[i] for i in B.proper_part)
+
+
+def improper_reduction(B: GeneratorSet) -> GeneratorSet:
+    """Generator set restricted to the bases above 1."""
+    return build_generator_set(B.bases[i] for i in B.improper_part)
 
 
 def generator_set_to_dict(B: GeneratorSet) -> dict:

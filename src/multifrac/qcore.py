@@ -7,64 +7,13 @@ rewrite identities the higher modules rely on hold only exactly.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
-from .exceptions import NegativeValue, NotPrime, ParseError, ZeroDenominator
+from .exceptions import ParseError, ZeroDenominator
 
 # Reduced nonnegative rational.  fractions.Fraction already maintains the
 # invariant gcd(num, den) = 1 with den >= 1, so it is used directly.
 Rational = Fraction
-
-
-def make_rational(p: int, q: int) -> Rational:
-    """Return the reduced fraction p/q, rejecting zero denominators and negatives."""
-    if q == 0:
-        raise ZeroDenominator(f"denominator must be nonzero: {p}/{q}")
-    value = Fraction(p, q)
-    if value < 0:
-        raise NegativeValue(f"value must be nonnegative: {p}/{q}")
-    return value
-
-
-def num(q: Rational) -> int:
-    """Numerator of a reduced fraction."""
-    return q.numerator
-
-
-def den(q: Rational) -> int:
-    """Denominator of a reduced fraction (always >= 1)."""
-    return q.denominator
-
-
-class FractionClass(str, Enum):
-    """Coarse classification of a nonnegative reduced fraction."""
-
-    ZERO = "zero"
-    POSITIVE_INTEGER = "positive-integer"
-    UNIT_FRACTION = "unit-fraction"
-    PROPER_NON_UNIT = "proper-non-unit"
-    IMPROPER_NON_INTEGER = "improper-non-integer"
-
-
-def classify_fraction(q: Rational) -> FractionClass:
-    """Classify q as zero, integer, unit fraction, or proper/improper non-integer.
-
-    The five tags are exhaustive and mutually exclusive for reduced
-    nonnegative fractions.
-    """
-    if q < 0:
-        raise NegativeValue(f"expected a nonnegative value, got {q}")
-    n, d = q.numerator, q.denominator
-    if n == 0:
-        return FractionClass.ZERO
-    if d == 1:
-        return FractionClass.POSITIVE_INTEGER
-    if n == 1:
-        return FractionClass.UNIT_FRACTION
-    if n < d:
-        return FractionClass.PROPER_NON_UNIT
-    return FractionClass.IMPROPER_NON_INTEGER
 
 
 # Trial division with a 2-3-5 wheel.  Gaps between consecutive integers
@@ -108,26 +57,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def p_adic_valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n, for n >= 1 and prime p."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n < 1:
-        raise ValueError(f"valuation is defined here for n >= 1, got {n}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def rational_pow(b: Rational, e: int) -> Rational:
-    """b**e for e >= 0, kept exact."""
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
-    return b**e
 
 
 def parse_rational(text: str) -> Rational:

@@ -56,7 +56,6 @@ from multifrac.monoid import (
     CyclicCase,
     build_generator_set,
     classify_cyclic,
-    is_hereditarily_atomic,
 )
 
 B23 = build_generator_set([Fraction(2, 3)])
@@ -209,7 +208,7 @@ def test_criterion_4_delta_sets_bounded_by_one():
 
 def test_criterion_5_hereditary_detection():
     hered = build_generator_set([Fraction(5, 2), Fraction(7, 3)])
-    ok = is_hereditarily_atomic(hered)
+    ok = hered.is_hereditarily_atomic
 
     rng = random.Random(5)
     for _ in range(6):
@@ -219,7 +218,7 @@ def test_criterion_5_hereditary_detection():
         wide = {w.length for w in enumerate_factorizations(y, hered, SearchCaps(6, 80))}
         ok = ok and base == wide and z.length in base
 
-    ok = ok and not is_hereditarily_atomic(B23)
+    ok = ok and not B23.is_hereditarily_atomic
     ok = ok and is_length_set_infinite(Fraction(2), B23)
     _line(
         5,

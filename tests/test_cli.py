@@ -45,6 +45,17 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(capsys, ["no-such-verb"])
     assert code == 1
 
+    for argv in (
+        ["member", "--bases-file", "no/such/file", "--x", "2"],
+        ["construct", "--kind", "nonatomic", "--seed-primes", "2,x"],
+        ["unions", "--bases", "2/3", "--k", "2", "--aap-d", "0"],
+        ["unions", "--bases", "2/3", "--k", "2", "--aap-d", "1", "--aap-n", "-1"],
+    ):
+        code, out, err = invoke(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error[ParseError]") and err.count("\n") == 1, err
+
 
 def test_member_json_shape(capsys):
     code, out, _ = invoke(capsys, ["member", "--bases", "2/3", "--x", "4/3", "--json"])
@@ -123,6 +134,40 @@ def test_cache_write_and_read_back(tmp_path, capsys):
     entries[0].write_text(json.dumps(stored))
     _, second, _ = invoke(capsys, argv)
     assert json.loads(second)["x"] == "99/1"
+
+
+def test_cache_follows_the_contents_of_a_bases_file(tmp_path, capsys):
+    bases = tmp_path / "bases.txt"
+    bases.write_text("2/3\n")
+    argv = [
+        "member", "--bases-file", str(bases), "--x", "2",
+        "--json", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    code, first, _ = invoke(capsys, argv)
+    assert code == 0 and json.loads(first)["bases"] == ["2/3"]
+
+    bases.write_text("4/5\n")
+    code, second, _ = invoke(capsys, argv)
+    assert code == 0 and json.loads(second)["bases"] == ["4/5"]
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path, capsys):
+    argv = [
+        "lengths", "--bases", "2/5", "--x", "2", "--cap", "20",
+        "--json", "--cache-dir", str(tmp_path),
+    ]
+    code, first, _ = invoke(capsys, argv)
+    assert code == 0
+    (entry,) = tmp_path.glob("*.json")
+    whole = entry.read_text()
+    entry.write_text(whole[: len(whole) // 2])
+
+    code, second, err = invoke(capsys, argv)
+    assert code == 0 and err == ""
+    assert second == first
+    assert entry.read_text() == whole
+    assert list(tmp_path.iterdir()) == [entry]
 
 
 def test_domain_errors_exit_2(capsys):

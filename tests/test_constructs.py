@@ -16,8 +16,7 @@ from multifrac.constructs import (
 )
 from multifrac.exceptions import BadLevel, BadSeed
 from multifrac.factorizer import SearchCaps
-from multifrac.monoid import build_generator_set, is_hereditarily_atomic
-from multifrac.qcore import den, num
+from multifrac.monoid import build_generator_set
 
 
 def test_default_seed_is_minimal():
@@ -50,7 +49,7 @@ def test_family_structural_flags():
     """The family is built to break atomicity: all proper fractions, and
     two generators share a denominator so the set is not canonical."""
     fam = nonatomic_family(2)
-    assert not is_hereditarily_atomic(fam)
+    assert not fam.is_hereditarily_atomic
     assert fam.accp_obstructed
     assert not fam.is_canonical
 

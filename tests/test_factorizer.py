@@ -8,7 +8,6 @@ import pytest
 from conftest import random_canonical_set, random_factorization
 from multifrac.exceptions import (
     BadIndex,
-    ImproperBase,
     NotCanonical,
     NotHub,
     ValueMismatch,
@@ -24,12 +23,10 @@ from multifrac.factorizer import (
     factorization_to_dict,
     hub_normalize,
     is_max_length,
-    min_length_factorization,
     rewrite_chain,
     solve_hub,
 )
 from multifrac.monoid import build_generator_set
-from multifrac.qcore import den, num
 
 B23 = build_generator_set([Fraction(2, 3)])
 B2345 = build_generator_set([Fraction(2, 3), Fraction(4, 5)])
@@ -103,11 +100,11 @@ def test_hub_normalize_random_property():
     rng = random.Random(101)
     for _ in range(60):
         B = random_canonical_set(rng, max_den=30)
-        z = random_factorization(rng, B, e_max=3, c_top=2 * max(den(b) for b in B.bases))
+        z = random_factorization(rng, B, e_max=3, c_top=2 * max(b.denominator for b in B.bases))
         hub, steps = hub_normalize(z, B)
         assert evaluate(hub, B) == evaluate(z, B)
         for (i, _e), c in hub.as_mapping().items():
-            assert c < den(B.bases[i])
+            assert c < B.bases[i].denominator
         replayed = z
         for step in steps:
             replayed = apply_rewrite(replayed, step, B)
@@ -183,11 +180,15 @@ def test_enumerate_nonmember_is_empty():
 
 
 def test_min_length_factorization():
-    z = min_length_factorization(Fraction(2), B23)
+    """Over a canonical set of proper fractions the hub is the unique
+    shortest factorization."""
+    z = solve_hub(Fraction(2), B23)
     assert z is not None and z.length == 2
-    assert min_length_factorization(Fraction(1, 3), B23) is None
-    with pytest.raises(ImproperBase):
-        min_length_factorization(Fraction(5), build_generator_set([Fraction(5, 2)]))
+    assert solve_hub(Fraction(1, 3), B23) is None
+    for x, B in ((Fraction(2), B23), (Fraction(4), B2345), (Fraction(22, 15), B2345)):
+        found = enumerate_factorizations(x, B, SearchCaps(4, 12))
+        shortest = min(w.length for w in found)
+        assert [w for w in found if w.length == shortest] == [solve_hub(x, B)]
 
 
 def test_apply_rewrite_directions():
@@ -209,7 +210,7 @@ def test_rewrite_chain_replays_between_random_peers():
         extra = rng.randint(0, 2)
         # nudge b off the hub when an upward move is available
         for i, base in enumerate(B.bases):
-            if extra and b.coefficient(i, 1) >= num(base):
+            if extra and b.coefficient(i, 1) >= base.numerator:
                 b = apply_rewrite(b, RewriteStep(i, 1, "up", 1), B)
                 break
         chain = rewrite_chain(a, b, B)

@@ -49,30 +49,27 @@ def test_component_validation():
     with pytest.raises(ValueError):
         MapComponent(-1)
     with pytest.raises(ValueError):
-        MapComponent(0, ((0, None),))
+        MapComponent(0, (0,))
     with pytest.raises(ValueError):
-        MapComponent(0, ((2, 0),))
+        MapComponent(0, (3, -2))
 
 
 def test_component_membership_bounded():
-    c = MapComponent(2, ((3, 2),))
-    assert [v for v in range(12) if c.contains(v)] == [2, 5, 8]
-    assert not c.contains(11)
-    assert c.finite_extent() == 6
+    c = MapComponent(5)
+    assert [v for v in range(12) if c.contains(v)] == [5]
     assert not c.is_infinite()
 
 
 def test_component_membership_unbounded():
-    c = MapComponent(2, ((3, None),))
+    c = MapComponent(2, (3,))
     assert c.contains(2) and c.contains(11) and not c.contains(4)
     assert c.is_infinite()
-    assert c.finite_extent() == 0
 
 
 def test_component_subset_sum_of_two_progressions():
-    c = MapComponent(0, ((2, 1), (5, None)))
-    hits = [v for v in range(13) if c.contains(v)]
-    assert hits == [0, 2, 5, 7, 10, 12]
+    c = MapComponent(1, (3, 5))
+    hits = [v for v in range(14) if c.contains(v)]
+    assert hits == [1, 4, 6, 7, 9, 10, 11, 12, 13]
 
 
 def test_union_basics():
@@ -86,28 +83,33 @@ def test_union_basics():
 
 
 def test_union_merge_deduplicates():
-    a = MapUnion((MapComponent(2, ((3, None),)),))
-    b = MapUnion((MapComponent(2, ((3, None),)), MapComponent(5)))
+    a = MapUnion((MapComponent(2, (3,)),))
+    b = MapUnion((MapComponent(5), MapComponent(2, (3,))))
     merged = a.merged(b)
-    assert len(merged.components) == 2
+    assert merged.components == (MapComponent(2, (3,)), MapComponent(5))
     assert merged.truncate(9) == [2, 5, 8]
+    assert MapUnion(b.components + a.components) == merged
 
 
 def test_union_shift():
-    mu = MapUnion((MapComponent(1, ((2, None),)),))
+    mu = MapUnion((MapComponent(1, (2,)),))
     assert mu.shifted(3).truncate(10) == [4, 6, 8, 10]
 
 
 def test_union_dict_round_trip():
     mu = MapUnion(
         (
-            MapComponent(2, ((1, None), (3, 2))),
+            MapComponent(2, (1, 3)),
             MapComponent(7),
         )
     )
     data = mu.to_dict()
-    assert data["components"][0]["diffs"][0] == {"d": 1, "l": "inf"}
+    assert data["components"][0]["diffs"] == [{"d": 1, "l": "inf"}, {"d": 3, "l": "inf"}]
     assert MapUnion.from_dict(data) == mu
+
+    data["components"][0]["diffs"][1]["l"] = 2
+    with pytest.raises(ValueError):
+        MapUnion.from_dict(data)
 
 
 # ----------------------------------------------------------- witness families
@@ -355,7 +357,7 @@ def test_infinitude_matches_cap_doubling():
     assert small < large
 
     finite = length_set(Fraction(22, 15), B2345)
-    top = max(c.offset + c.finite_extent() for c in finite.components)
+    top = max(c.offset for c in finite.components)
     assert finite.truncate(3 * top) == finite.truncate(top)
 
 

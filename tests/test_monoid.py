@@ -27,7 +27,6 @@ from multifrac.monoid import (
     classify_cyclic,
     generator_set_from_dict,
     generator_set_to_dict,
-    is_hereditarily_atomic,
     proper_reduction,
 )
 
@@ -90,12 +89,10 @@ def test_unit_fraction_is_legal_but_flagged():
 
 
 def test_hereditary_predicate_fixed_points():
-    assert is_hereditarily_atomic(build_generator_set([Fraction(5, 2), Fraction(7, 3)]))
-    assert not is_hereditarily_atomic(build_generator_set([Fraction(2, 3)]))
-    assert not is_hereditarily_atomic(
-        build_generator_set([Fraction(5, 2), Fraction(2, 3)])
-    )
-    assert is_hereditarily_atomic(build_generator_set([]))
+    assert build_generator_set([Fraction(5, 2), Fraction(7, 3)]).is_hereditarily_atomic
+    assert not build_generator_set([Fraction(2, 3)]).is_hereditarily_atomic
+    assert not build_generator_set([Fraction(5, 2), Fraction(2, 3)]).is_hereditarily_atomic
+    assert build_generator_set([]).is_hereditarily_atomic
 
 
 def test_hereditary_means_finite_length_sets_in_samples():

@@ -1,66 +1,12 @@
-"""Rational kernel: construction, classification, primes, parsing."""
+"""Rational kernel: primes, factorization, parsing and formatting."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from multifrac.exceptions import (
-    NegativeValue,
-    NotPrime,
-    ParseError,
-    ZeroDenominator,
-)
-from multifrac.qcore import (
-    FractionClass,
-    classify_fraction,
-    den,
-    factorize,
-    format_rational,
-    is_prime,
-    make_rational,
-    num,
-    p_adic_valuation,
-    parse_rational,
-    rational_pow,
-)
-
-
-def test_make_rational_reduces():
-    assert make_rational(4, 6) == Fraction(2, 3)
-    assert make_rational(0, 5) == 0
-    assert make_rational(9, 3) == 3
-
-
-def test_make_rational_rejects_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        make_rational(1, 0)
-
-
-def test_make_rational_rejects_negatives():
-    with pytest.raises(NegativeValue):
-        make_rational(-2, 3)
-    with pytest.raises(NegativeValue):
-        make_rational(2, -3)
-
-
-def test_num_den_read_reduced_form():
-    q = Fraction(10, 15)
-    assert (num(q), den(q)) == (2, 3)
-    assert (num(Fraction(4)), den(Fraction(4))) == (4, 1)
-
-
-def test_classification_hits_every_branch():
-    assert classify_fraction(Fraction(0)) is FractionClass.ZERO
-    assert classify_fraction(Fraction(7)) is FractionClass.POSITIVE_INTEGER
-    assert classify_fraction(Fraction(1, 9)) is FractionClass.UNIT_FRACTION
-    assert classify_fraction(Fraction(4, 9)) is FractionClass.PROPER_NON_UNIT
-    assert classify_fraction(Fraction(9, 4)) is FractionClass.IMPROPER_NON_INTEGER
-
-
-def test_classification_rejects_negative_input():
-    with pytest.raises(NegativeValue):
-        classify_fraction(Fraction(-1, 2))
+from multifrac.exceptions import ParseError
+from multifrac.qcore import factorize, format_rational, is_prime, parse_rational
 
 
 def test_is_prime_matches_naive_sieve():
@@ -87,21 +33,6 @@ def test_factorize_reconstructs_random_integers():
             assert e >= 1
             product *= p**e
         assert product == n
-
-
-def test_p_adic_valuation():
-    assert p_adic_valuation(12, 2) == 2
-    assert p_adic_valuation(12, 3) == 1
-    assert p_adic_valuation(12, 5) == 0
-    with pytest.raises(NotPrime):
-        p_adic_valuation(12, 6)
-
-
-def test_rational_pow():
-    assert rational_pow(Fraction(2, 3), 0) == 1
-    assert rational_pow(Fraction(2, 3), 3) == Fraction(8, 27)
-    with pytest.raises(ValueError):
-        rational_pow(Fraction(2, 3), -1)
 
 
 def test_parse_format_round_trip():
