@@ -41,12 +41,12 @@ from .factorizer import (
     solve_hub,
 )
 from .lengths import (
+    _length_set_parts,
     aap_check,
     delta_of_element,
     delta_of_length_set,
     delta_truncation_bound,
     hub_witness_sets,
-    improper_divisor_pairs,
     is_single_difference,
     length_set,
     union_of_lengths,
@@ -98,8 +98,19 @@ def _add_base_options(p: _Parser) -> None:
     p.add_argument("--bases-file", help="file holding generators")
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for exponent caps and listing limits."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_cap_options(p: _Parser) -> None:
-    p.add_argument("--emax", type=int, default=4, help="exponent cap (default 4)")
+    p.add_argument("--emax", type=_nonnegative_int, default=4, help="exponent cap (default 4)")
     p.add_argument("--lenmax", type=int, default=64, help="length cap (default 64)")
 
 
@@ -199,8 +210,7 @@ def cmd_factorize(ns) -> dict:
 def cmd_lengths(ns) -> dict:
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
-    mu = length_set(x, B)
-    hub = solve_hub(x, B)
+    hub, mu, splitting = _length_set_parts(x, B)
     report = {
         "command": "lengths",
         "bases": [format_rational(b) for b in B.bases],
@@ -217,9 +227,8 @@ def cmd_lengths(ns) -> dict:
     if not B.improper_part:
         witness = hub_witness_sets(hub, B)
         report["families"] = [list(f) for f in witness.Wfamily]
-    elif B.proper_part:
-        pairs = improper_divisor_pairs(x, B)
-        d = pairs.to_dict()
+    elif splitting is not None:
+        d = splitting.to_dict()
         report["splittings"] = {
             "pairs": d["pairs"],
             "caps": d["caps"],
@@ -488,7 +497,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("atoms", help="list atoms of a canonical set")
     _add_base_options(p)
-    p.add_argument("--emax", type=int, default=4)
+    p.add_argument("--emax", type=_nonnegative_int, default=4)
 
     p = sub.add_parser("member", help="membership test with reduced representative")
     _add_base_options(p)
@@ -498,7 +507,7 @@ def build_parser() -> _Parser:
     _add_base_options(p)
     p.add_argument("--x", required=True)
     _add_cap_options(p)
-    p.add_argument("--limit", type=int, default=50, help="list at most this many")
+    p.add_argument("--limit", type=_nonnegative_int, default=50, help="list at most this many")
 
     p = sub.add_parser("lengths", help="structural set of lengths")
     _add_base_options(p)
@@ -510,7 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument("--x")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emax", type=int, default=4)
+    p.add_argument("--emax", type=_nonnegative_int, default=4)
 
     p = sub.add_parser("unions", help="union of sets of lengths over k-atom elements")
     _add_base_options(p)

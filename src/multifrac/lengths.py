@@ -11,10 +11,13 @@ for such sets: each component is
 where <d1, d2, ...> is the additive monoid generated by the steps
 d(b) - n(b) (Rosales & Garcia-Sanchez, *Numerical Semigroups*, 2009,
 ch. 1, up to the gcd of the steps).  Improper generators contribute
-only finitely many lengths per value, recovered by bounded enumeration,
-and a mixed set splits every factorization across the proper/improper
-divide, so L(x) becomes a finite union of shifted proper-side length
-sets.
+only finitely many lengths per value, found by a complete search on
+integers (every value scaled by a power of the improper denominators).
+A mixed set splits every factorization across the proper/improper
+divide, x = y + y', so L(x) becomes a finite union of the improper
+lengths of y plus shifted proper-side length sets of y'; one pass over
+the improper powers yields the candidate values y, and each gets one
+hub solve on the proper side.
 
 Derived invariants (delta sets, unions of sets of lengths, almost
 arithmetic progressions) are computed from these descriptions with
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 
 from .exceptions import (
     ImproperBase,
@@ -172,6 +175,15 @@ def hub_witness_sets(z: Factorization, B: GeneratorSet) -> HubWitnessSets:
     return HubWitnessSets(z, v, tuple(u_family), tuple(sorted(w_family)))
 
 
+def _proper_components(hub: Factorization, B: GeneratorSet) -> list[MapComponent]:
+    """One component |hub| + <d(b) - n(b) : b in W> per witness family W."""
+    steps = [b.denominator - b.numerator for b in B.bases]
+    return [
+        MapComponent(hub.length, tuple(steps[i] for i in fam))
+        for fam in hub_witness_sets(hub, B).Wfamily
+    ]
+
+
 def length_set_proper(x: Rational, B: GeneratorSet) -> MapUnion:
     """Exact L(x) for a canonical set of proper fractions.
 
@@ -180,20 +192,9 @@ def length_set_proper(x: Rational, B: GeneratorSet) -> MapUnion:
     generated by the steps d(b) - n(b) of the generators in one witness
     family: one component per family.
     """
-    if not B.is_canonical:
-        raise NotCanonical("structural length sets need a canonical set")
-    if B.improper_part:
+    if B.is_canonical and B.improper_part:
         raise ImproperBase("this route covers proper fractions only")
-    if x == 0:
-        raise NotMember("length sets are taken over nonzero elements")
-    hub = solve_hub(x, B)
-    if hub is None:
-        raise NotMember(f"{x} is not in the monoid")
-    steps = [b.denominator - b.numerator for b in B.bases]
-    return MapUnion(
-        MapComponent(hub.length, tuple(steps[i] for i in fam))
-        for fam in hub_witness_sets(hub, B).Wfamily
-    )
+    return _length_set_parts(x, B)[1]
 
 
 def _improper_value_caps(y: Rational, B_imp: GeneratorSet) -> SearchCaps:
@@ -225,18 +226,141 @@ def _clamp_caps(
     return clipped, complete
 
 
+class _ImproperSlots:
+    """The improper atoms of value at most x, scaled to integers.
+
+    ``caps`` are the bounds self-derived from x (`_improper_value_caps`),
+    clipped by the user's caps; ``complete`` says whether nothing was
+    clipped.  With E = max(caps.e_max, 0), every power b**e with e <= E
+    has a denominator dividing ``scale`` = prod d(b)**E, so all values
+    here are multiplied by ``scale``.  The slots are the powers b**e <= x,
+    base by base with the highest exponent first, then the unit atom 1,
+    which exists only when there is an improper generator.
+
+    Slot k carries g_k, the gcd of its value and of every later slot's
+    value.  For a slot of value v, a count c leaves a remainder
+    divisible by g_(k+1) exactly when c * v = rem (mod g_(k+1)), which
+    pins c to one residue class modulo g_(k+1) / g_k; both searches step
+    through that class only.  The memo of `lengths` lives as long as
+    this object, that is one call of the public function that built it.
+    """
+
+    def __init__(self, x: Rational, B_imp: GeneratorSet, caps: SearchCaps | None):
+        self.x = Fraction(x)
+        self.caps, self.complete = _clamp_caps(_improper_value_caps(x, B_imp), caps)
+        e_top = max(self.caps.e_max, 0)
+        self.scale = 1
+        for b in B_imp.bases:
+            self.scale *= b.denominator**e_top
+        top = self.x * self.scale
+        self.top = top.numerator // top.denominator
+        values = [
+            b.numerator**e * (self.scale // b.denominator**e)
+            for b in B_imp.bases
+            for e in range(e_top, 0, -1)
+        ]
+        values = [v for v in values if v <= self.top]
+        if B_imp.bases:
+            values.append(self.scale)
+        # (value, g_k, modulus of c, inverse of value / g_k); None marks the unit.
+        self.slots: list[tuple[int, int, int | None, int]] = []
+        g_next = 0
+        for v in reversed(values):
+            g = gcd(v, g_next)
+            if g_next:
+                step = g_next // g
+                self.slots.append((v, g, step, pow(v // g, -1, step)))
+            else:
+                self.slots.append((v, g, None, 0))
+            g_next = g
+        self.slots.reverse()
+        self._memo: dict[tuple[int, int], frozenset[int]] = {}
+
+    def lengths(self, y: Rational) -> set[int]:
+        """Lengths within ``caps`` of the factorizations of y <= x (see `improper_lengths`)."""
+        scaled = Fraction(y) * self.scale
+        if scaled < 0 or scaled.denominator != 1:
+            return set()
+        rem = scaled.numerator
+        if not self.slots:
+            return {0} if rem == 0 else set()
+        if rem % self.slots[0][1]:
+            return set()
+        return {n for n in self._lengths_from(0, rem) if n <= self.caps.len_max}
+
+    def _lengths_from(self, k: int, rem: int) -> frozenset[int]:
+        """Lengths of the sums of slots k, k+1, ... equal to rem, a multiple of g_k."""
+        found = self._memo.get((k, rem))
+        if found is None:
+            v, g, step, inv = self.slots[k]
+            if step is None:
+                found = frozenset((rem // v,))
+            else:
+                out: set[int] = set()
+                c = rem // g * inv % step
+                while c * v <= rem:
+                    out.update(n + c for n in self._lengths_from(k + 1, rem - c * v))
+                    c += step
+                found = frozenset(out)
+            self._memo[(k, rem)] = found
+        return found
+
+    def splitting(self, B_prop: GeneratorSet) -> list[tuple[Fraction, Factorization]]:
+        """(y, hub of x - y) for every splitting, in increasing y (see `improper_divisor_pairs`)."""
+        scaled = self.x * self.scale
+        if gcd(scaled.denominator, self.scale) != 1:
+            return []
+        if not self.slots:
+            candidates = [0]
+        else:
+            r = scaled.numerator * pow(scaled.denominator, -1, self.scale) % self.scale
+            level = {0} if r % self.slots[0][1] == 0 else set()
+            for v, g, step, inv in self.slots[:-1]:
+                level = {
+                    t
+                    for s in level
+                    for t in range(s + (r - s) // g * inv % step * v, self.top + 1, step * v)
+                }
+            candidates = range(min(level), self.top + 1, self.scale) if level else []
+        split = []
+        for n in candidates:
+            y = Fraction(n, self.scale)
+            hub = solve_hub(self.x - y, B_prop)
+            if hub is not None:
+                split.append((y, hub))
+        return split
+
+
 def improper_lengths(
     y: Rational, B_imp: GeneratorSet, caps: SearchCaps | None = None
 ) -> set[int]:
     """All factorization lengths of y over an all-improper set.
 
-    The search is self-bounding (complete) unless the supplied caps cut
-    it shorter.
+    A search on integers, complete unless the supplied caps cut it
+    shorter.  Every atom is at least 1, so a factorization of y uses only
+    powers b**e <= y and has at most floor(y) atoms: these are the
+    self-derived caps, clipped by ``caps``.  Every power within them has
+    a denominator dividing D = prod d(b)**E (E the exponent cap), so y
+    and every atom are scaled by D and the question stays exact on
+    ints.  The search fixes the count of one slot at a time, highest
+    exponent first and the unit last, and tries every count that keeps
+    the remainder nonnegative, so it meets every factorization within
+    the exponent cap; only the lengths it reports are cut by the length
+    cap.
+
+    The one prune: the slots still to come only ever sum to multiples of
+    g, the gcd of their values, so a remainder that g does not divide
+    can never be completed, and dropping it loses no factorization.  It
+    is the oracle's ``suffix_den`` check read on integers.  Results are
+    memoised on (slot, remainder) within one call.  The route shares
+    nothing with `enumerate_factorizations`, against which the tests
+    check it.
     """
+    if any(b <= 1 for b in B_imp.bases):
+        raise ValueError("improper lengths need every base above 1")
     if y == 0:
         return {0}
-    eff, _ = _clamp_caps(_improper_value_caps(y, B_imp), caps)
-    return {z.length for z in enumerate_factorizations(y, B_imp, eff)}
+    return _ImproperSlots(y, B_imp, caps).lengths(y)
 
 
 @dataclass(frozen=True)
@@ -267,65 +391,46 @@ class ImproperDivisorReport:
         }
 
 
+def _divisor_report(slots: _ImproperSlots, split) -> ImproperDivisorReport:
+    pairs = tuple((y, slots.x - y) for y, _ in split)
+    return ImproperDivisorReport(slots.x, pairs, slots.caps, slots.complete)
+
+
 def improper_divisor_pairs(
     x: Rational, B: GeneratorSet, caps: SearchCaps | None = None
 ) -> ImproperDivisorReport:
-    """Enumerate all (y, y') with y + y' = x splitting improper from proper."""
+    """Enumerate all (y, y') with y + y' = x splitting improper from proper.
+
+    y runs over the sums <= x of units and improper powers b**e with e
+    at most the exponent cap, self-derived from x (no larger power fits)
+    and clipped by ``caps``; y' must lie in the proper-side monoid, which
+    one `solve_hub` per distinct y decides.  The length cap never cuts a
+    candidate y: it bounds reported lengths only.
+
+    The candidates come from one pass on integers, scaled by D as in
+    `improper_lengths`, so y is Y / D.  The proper denominators are
+    coprime to D (the set is canonical), so x - y can be a member only
+    when Y is congruent modulo D to r = D * x, its denominator inverted
+    modulo D; no other y is worth a hub solve.  The pass runs over the
+    power slots and keeps the partial sums <= D * x, deduplicated by
+    value, that agree with r modulo the gcd of the slots still to come,
+    the unit D included: only those can still end in the class of r,
+    the same lossless prune as in `improper_lengths`.  After the last
+    power slot every surviving sum lies in that class, and units walk
+    the class upward, so the candidates are its members from the least
+    surviving sum up to D * x.
+    """
     if not B.is_canonical:
         raise NotCanonical("the splitting needs a canonical set")
     if x < 0:
         raise NotMember(f"{x} is negative")
-    B_imp = improper_reduction(B)
     if x == 0:
         eff, complete = _clamp_caps(SearchCaps(0, 0), caps)
         return ImproperDivisorReport(
             x, ((Fraction(0), Fraction(0)),), eff, complete
         )
-
-    B_prop = proper_reduction(B)
-
-    # Term-only improper values t <= x, then integer top-ups t + k.
-    term_values = {Fraction(0)}
-    eff, complete = _clamp_caps(_improper_value_caps(x, B_imp), caps)
-    slots = [
-        (i, e)
-        for i in range(len(B_imp.bases))
-        for e in range(1, eff.e_max + 1)
-    ]
-
-    def grow(k: int, total: Fraction) -> None:
-        if k == len(slots):
-            term_values.add(total)
-            return
-        i, e = slots[k]
-        v = B_imp.bases[i] ** e
-        c = 0
-        while total + c * v <= x:
-            grow(k + 1, total + c * v)
-            c += 1
-
-    grow(0, Fraction(0))
-
-    def proper_member(v: Rational) -> bool:
-        if not B_prop.bases:
-            return v == 0
-        return solve_hub(v, B_prop) is not None
-
-    pairs = set()
-    for t in sorted(term_values):
-        if not B_imp.bases and t == 0:
-            # No improper generators: y may only be 0.
-            if proper_member(x):
-                pairs.add((Fraction(0), Fraction(x)))
-            continue
-        k = 0
-        while t + k <= x:
-            y = t + k
-            yp = x - y
-            if proper_member(yp):
-                pairs.add((Fraction(y), Fraction(yp)))
-            k += 1
-    return ImproperDivisorReport(x, tuple(sorted(pairs)), eff, complete)
+    slots = _ImproperSlots(x, improper_reduction(B), caps)
+    return _divisor_report(slots, slots.splitting(proper_reduction(B)))
 
 
 def length_set(
@@ -334,30 +439,48 @@ def length_set(
     """Exact L(x) for any canonical generator set.
 
     Dispatches on the proper/improper makeup: all-proper uses the hub
-    witness description, all-improper uses complete bounded enumeration,
-    and a mixed set unions shifted proper-side sets over all splittings.
+    witness description, all-improper the complete integer search of
+    `improper_lengths`, and a mixed set unions shifted proper-side sets
+    over all splittings.
     ``caps`` only ever clips the improper-side searches, which are
     self-bounding when it is omitted.
     """
     if not B.improper_part:
         return length_set_proper(x, B)
+    return _length_set_parts(x, B, caps)[1]
+
+
+def _length_set_parts(
+    x: Rational, B: GeneratorSet, caps: SearchCaps | None = None
+) -> tuple[Factorization, MapUnion, ImproperDivisorReport | None]:
+    """The hub of x, L(x) and, for a mixed set, the splitting behind it.
+
+    A mixed L(x) is the union over the splittings x = y + y' of the
+    improper lengths of y plus the proper-side components of y', which
+    come from the hub of y' found while splitting.
+    """
     if not B.is_canonical:
         raise NotCanonical("structural length sets need a canonical set")
     if x == 0:
         raise NotMember("length sets are taken over nonzero elements")
-    if solve_hub(x, B) is None:
+    hub = solve_hub(x, B)
+    if hub is None:
         raise NotMember(f"{x} is not in the monoid")
+    if not B.improper_part:
+        return hub, MapUnion(_proper_components(hub, B)), None
 
     B_imp = improper_reduction(B)
     if not B.proper_part:
-        return MapUnion.from_values(improper_lengths(x, B_imp, caps))
+        return hub, MapUnion.from_values(improper_lengths(x, B_imp, caps)), None
 
     B_prop = proper_reduction(B)
+    slots = _ImproperSlots(x, B_imp, caps)
+    split = slots.splitting(B_prop)
     comps = []
-    for y, yp in improper_divisor_pairs(x, B, caps).pairs:
-        prop = length_set_proper(yp, B_prop).components if yp else (MapComponent(0),)
-        comps.extend(c.shifted(l) for l in improper_lengths(y, B_imp, caps) for c in prop)
-    return MapUnion(comps)
+    for y, hub_yp in split:
+        prop = _proper_components(hub_yp, B_prop)
+        comps.extend(c.shifted(n) for n in slots.lengths(y) for c in prop)
+    return hub, MapUnion(comps), _divisor_report(slots, split)
 
 
 def is_length_set_infinite(

@@ -50,6 +50,8 @@ def test_usage_errors_exit_1(capsys):
         ["construct", "--kind", "nonatomic", "--seed-primes", "2,x"],
         ["unions", "--bases", "2/3", "--k", "2", "--aap-d", "0"],
         ["unions", "--bases", "2/3", "--k", "2", "--aap-d", "1", "--aap-n", "-1"],
+        ["delta", "--bases", "2/3", "--emax", "-1"],
+        ["factorize", "--bases", "2/3", "--x", "2", "--emax", "2", "--lenmax", "7", "--limit", "-1"],
     ):
         code, out, err = invoke(capsys, argv)
         assert code == 1, argv

@@ -207,6 +207,8 @@ def test_improper_lengths_are_complete_and_match_oracle():
         assert lens == brute
         assert z.length in lens
     assert improper_lengths(Fraction(0), HEREDITARY) == {0}
+    with pytest.raises(ValueError):
+        improper_lengths(Fraction(2), MIXED)
 
 
 def test_improper_divisor_pairs_frozen():

@@ -1,0 +1,154 @@
+"""Property tests: the improper and mixed length-set routes against the oracle.
+
+Hypothesis draws small generator sets and elements; every property
+compares the structural code with `enumerate_factorizations` (or a plain
+search written here) at caps under which the search provably sees every
+factorization it is compared on.  The runs are derandomized, so each
+test sees the same examples on every run.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from multifrac.factorizer import SearchCaps, enumerate_factorizations, solve_hub
+from multifrac.lengths import improper_divisor_pairs, improper_lengths, length_set
+from multifrac.monoid import build_generator_set, improper_reduction, proper_reduction
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _exponent_bound(x, bases) -> int:
+    """Largest e with b**e <= x for some base b > 1 (0 if none)."""
+    top = 0
+    for b in bases:
+        e = 0
+        while b ** (e + 1) <= x:
+            e += 1
+        top = max(top, e)
+    return top
+
+
+@st.composite
+def improper_sets(draw):
+    """One or two distinct bases above 1; denominators need not be coprime."""
+    bases = set()
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.integers(2, 5))
+        n = draw(st.integers(d + 1, 2 * d + 1))
+        if gcd(n, d) == 1:
+            bases.add(Fraction(n, d))
+    return build_generator_set(bases or {Fraction(3, 2)})
+
+
+@st.composite
+def mixed_sets(draw):
+    """A canonical set with one base below 1 and one or two above it."""
+    d_prop = draw(st.sampled_from([3, 5, 7]))
+    rest = draw(st.permutations([d for d in (2, 3, 5, 7) if d != d_prop]))
+    dens = [d_prop] + rest[: draw(st.integers(1, 2))]
+    bases = []
+    for k, d in enumerate(dens):
+        lo, hi = (2, d - 1) if k == 0 else (d + 1, 2 * d + 1)
+        n = draw(st.integers(lo, hi).filter(lambda n, d=d: gcd(n, d) == 1))
+        bases.append(Fraction(n, d))
+    return build_generator_set(bases)
+
+
+@st.composite
+def elements(draw, B, c_top: int, e_top: int, cap: int):
+    """A nonzero sum of a few generator powers plus units, at most ``cap``."""
+    x = Fraction(draw(st.integers(0, c_top)))
+    for b in B.bases:
+        for e in range(1, e_top + 1):
+            x += draw(st.integers(0, c_top)) * b**e
+    assume(0 < x <= cap)
+    return x
+
+
+@st.composite
+def short_elements(draw, B, atoms: int, e_top: int, cap: int):
+    """A sum of at most ``atoms`` generator powers, at most ``cap``."""
+    powers = [Fraction(1)] + [b**e for b in B.bases for e in range(1, e_top + 1)]
+    x = sum(draw(st.lists(st.sampled_from(powers), min_size=1, max_size=atoms)))
+    assume(x <= cap)
+    return x
+
+
+CAPS = st.one_of(st.none(), st.builds(SearchCaps, st.integers(0, 3), st.integers(0, 12)))
+
+
+def _largest_prime_exponent(n: int) -> int:
+    top, p = 0, 2
+    while n > 1:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        top = max(top, k)
+        p += 1
+    return top
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.data(), improper_sets())
+def test_improper_lengths_equal_the_oracle(data, B):
+    y = data.draw(elements(B, c_top=2, e_top=2, cap=24))
+    caps = data.draw(CAPS)
+    e_self, len_self = _exponent_bound(y, B.bases), int(y)
+    if caps is None:
+        oracle_caps = SearchCaps(e_self, len_self)
+    else:
+        oracle_caps = SearchCaps(min(e_self, caps.e_max), min(len_self, caps.len_max))
+    found = {z.length for z in enumerate_factorizations(y, B, oracle_caps)}
+    assert improper_lengths(y, B, caps) == found
+
+
+@PROPERTY
+@given(st.data(), mixed_sets())
+def test_splitting_equals_brute_force(data, B):
+    x = data.draw(elements(B, c_top=2, e_top=2, cap=9))
+    caps = data.draw(CAPS)
+    B_imp, B_prop = improper_reduction(B), proper_reduction(B)
+    e_cap = _exponent_bound(x, B_imp.bases)
+    if caps is not None:
+        e_cap = min(e_cap, caps.e_max)
+    # Every sum <= x of improper powers with exponent <= e_cap and units.
+    sums = {Fraction(0)}
+    for a in [Fraction(1)] + [b**e for b in B_imp.bases for e in range(1, e_cap + 1)]:
+        sums = {s + c * a for s in sums for c in range(int((x - s) / a) + 1)}
+    brute = [
+        (y, x - y)
+        for y in sorted(sums)
+        if solve_hub(x - y, B_prop) is not None
+        and enumerate_factorizations(y, B_imp, SearchCaps(e_cap, int(y)))
+    ]
+    assert list(improper_divisor_pairs(x, B, caps).pairs) == brute
+
+
+@settings(PROPERTY, max_examples=80)
+@given(st.data(), mixed_sets(), st.integers(6, 10))
+def test_mixed_length_set_equals_the_oracle_on_its_complete_window(data, B, e):
+    """Split a factorization z of x into its improper powers (value y)
+    and the rest, a factorization z' of x - y over the proper side.
+    Improper exponents are at most the bound from x.  Over the proper
+    side each upward exchange from the hub h of x - y adds at least 1 to
+    the length and at most 1 to the top exponent, so
+    top(z') <= |z| + top(h) - |h|.  The denominator of x - y is the
+    proper part P of den(x), and a hub term at exponent t needs some
+    prime to divide P at least t times, so top(h) <= a, the largest
+    prime exponent in P, and |h| >= 1 once top(h) >= 1.  The oracle at
+    exponent cap e therefore sees every length up to e - max(0, a - 1).
+    """
+    x = data.draw(short_elements(B, atoms=6, e_top=4, cap=30))
+    B_imp = improper_reduction(B)
+    P = x.denominator
+    for b in B_imp.bases:
+        P //= gcd(P, b.denominator**64)
+    a = _largest_prime_exponent(P)
+    window = e - max(0, a - 1)
+    e_oracle = max(e, _exponent_bound(x, B_imp.bases))
+    found = {z.length for z in enumerate_factorizations(x, B, SearchCaps(e_oracle, window))}
+    assert length_set(x, B).truncate(window) == sorted(found)
