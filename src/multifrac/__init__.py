@@ -6,85 +6,61 @@ factorization behavior: unique reduced representatives, length sets
 that are unions of shifted progressions, prescribed delta sets, and
 families with no atoms at all.  The modules here compute those objects
 exactly, with `fractions.Fraction` end to end.
+
+The public names are loaded on first use (PEP 562), so importing
+the package, or one of its modules, does not import the others: a
+command-line process pays only for the modules its verb needs.
 """
 
-from .exceptions import MultifracError
-from .factorizer import (
-    Factorization,
-    RewriteStep,
-    SearchCaps,
-    apply_rewrite,
-    enumerate_factorizations,
-    evaluate,
-    hub_normalize,
-    is_max_length,
-    rewrite_chain,
-    solve_hub,
-)
-from .lengths import (
-    MapComponent,
-    MapUnion,
-    aap_check,
-    delta_of_element,
-    delta_sample,
-    hub_witness_sets,
-    improper_divisor_pairs,
-    is_length_set_infinite,
-    is_single_difference,
-    length_set,
-    length_set_proper,
-    union_of_lengths,
-)
-from .monoid import (
-    GeneratorSet,
-    accp_obstruction,
-    atom_certificate,
-    build_generator_set,
-    canonical_atoms,
-    classify_cyclic,
-)
-from .constructs import (
-    delta_realization_check,
-    delta_realization_generators,
-    nonatomic_family,
-    nonatomic_witness,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Factorization",
-    "GeneratorSet",
-    "MapComponent",
-    "MapUnion",
-    "MultifracError",
-    "RewriteStep",
-    "SearchCaps",
-    "aap_check",
-    "accp_obstruction",
-    "apply_rewrite",
-    "atom_certificate",
-    "build_generator_set",
-    "canonical_atoms",
-    "classify_cyclic",
-    "delta_of_element",
-    "delta_realization_check",
-    "delta_realization_generators",
-    "delta_sample",
-    "enumerate_factorizations",
-    "evaluate",
-    "hub_normalize",
-    "hub_witness_sets",
-    "improper_divisor_pairs",
-    "is_length_set_infinite",
-    "is_max_length",
-    "is_single_difference",
-    "length_set",
-    "length_set_proper",
-    "nonatomic_family",
-    "nonatomic_witness",
-    "rewrite_chain",
-    "solve_hub",
-    "union_of_lengths",
-    "__version__",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "MultifracError": "exceptions",
+    "Factorization": "factorizer",
+    "RewriteStep": "factorizer",
+    "SearchCaps": "factorizer",
+    "apply_rewrite": "factorizer",
+    "enumerate_factorizations": "factorizer",
+    "evaluate": "factorizer",
+    "hub_normalize": "factorizer",
+    "is_max_length": "factorizer",
+    "rewrite_chain": "factorizer",
+    "solve_hub": "factorizer",
+    "MapComponent": "lengths",
+    "MapUnion": "lengths",
+    "aap_check": "lengths",
+    "delta_of_element": "lengths",
+    "delta_sample": "lengths",
+    "hub_witness_sets": "lengths",
+    "improper_divisor_pairs": "lengths",
+    "is_length_set_infinite": "lengths",
+    "is_single_difference": "lengths",
+    "length_set": "lengths",
+    "length_set_proper": "lengths",
+    "union_of_lengths": "lengths",
+    "GeneratorSet": "monoid",
+    "accp_obstruction": "monoid",
+    "atom_certificate": "monoid",
+    "build_generator_set": "monoid",
+    "canonical_atoms": "monoid",
+    "classify_cyclic": "monoid",
+    "delta_realization_check": "constructs",
+    "delta_realization_generators": "constructs",
+    "nonatomic_family": "constructs",
+    "nonatomic_witness": "constructs",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

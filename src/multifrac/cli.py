@@ -6,6 +6,10 @@ the same invocation always produces byte-identical output, which is
 what makes the optional on-disk cache safe.  Parse problems exit 1,
 domain errors exit 2 alongside a one-line message on stderr, and the
 difftest verb exits 2 when any cross-check fails.
+
+Only the parsing, rendering and caching layers are imported up front;
+each verb imports the compute modules it uses, so a process pays for
+its own verb alone and a cache hit loads no compute module.
 """
 
 from __future__ import annotations
@@ -22,35 +26,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .constructs import (
-    PrimeSeed,
-    delta_realization_check,
-    nonatomic_family,
-    nonatomic_witness,
-)
-from .exceptions import MultifracError, NotCanonical, ParseError
-from .factorizer import (
-    Factorization,
-    SearchCaps,
-    apply_rewrite,
-    enumerate_factorizations,
-    evaluate,
-    factorization_to_dict,
-    hub_normalize,
-    rewrite_chain,
-    solve_hub,
-)
-from .lengths import (
-    _length_set_parts,
-    aap_check,
-    delta_of_element,
-    delta_of_length_set,
-    delta_truncation_bound,
-    hub_witness_sets,
-    is_single_difference,
-    length_set,
-    union_of_lengths,
-)
+from .exceptions import MultifracError, ParseError
 from .monoid import (
     GeneratorSet,
     accp_obstruction,
@@ -99,7 +75,7 @@ def _add_base_options(p: _Parser) -> None:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type for exponent caps and listing limits."""
+    """argparse type for exponent, length, trial and listing caps."""
     try:
         value = int(text)
     except ValueError:
@@ -111,10 +87,12 @@ def _nonnegative_int(text: str) -> int:
 
 def _add_cap_options(p: _Parser) -> None:
     p.add_argument("--emax", type=_nonnegative_int, default=4, help="exponent cap (default 4)")
-    p.add_argument("--lenmax", type=int, default=64, help="length cap (default 64)")
+    p.add_argument("--lenmax", type=_nonnegative_int, default=64, help="length cap (default 64)")
 
 
-def _caps(ns) -> SearchCaps:
+def _caps(ns):
+    from .factorizer import SearchCaps
+
     return SearchCaps(e_max=ns.emax, len_max=ns.lenmax)
 
 
@@ -157,6 +135,8 @@ def cmd_atoms(ns) -> dict:
 
 
 def cmd_member(ns) -> dict:
+    from .factorizer import factorization_to_dict, solve_hub
+
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
     hub = solve_hub(x, B)
@@ -169,7 +149,7 @@ def cmd_member(ns) -> dict:
     }
 
 
-def _enumeration_complete(B: GeneratorSet, hub, caps: SearchCaps, infinite: bool) -> bool:
+def _enumeration_complete(B: GeneratorSet, hub, caps, infinite: bool) -> bool:
     """Whether the bounded search provably saw every factorization in range."""
     if hub is None:
         return False
@@ -184,6 +164,9 @@ def _enumeration_complete(B: GeneratorSet, hub, caps: SearchCaps, infinite: bool
 
 
 def cmd_factorize(ns) -> dict:
+    from .factorizer import enumerate_factorizations, factorization_to_dict, solve_hub
+    from .lengths import length_set
+
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
     caps = _caps(ns)
@@ -208,6 +191,14 @@ def cmd_factorize(ns) -> dict:
 
 
 def cmd_lengths(ns) -> dict:
+    from .factorizer import factorization_to_dict
+    from .lengths import (
+        _length_set_parts,
+        delta_of_length_set,
+        hub_witness_sets,
+        is_single_difference,
+    )
+
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
     hub, mu, splitting = _length_set_parts(x, B)
@@ -251,6 +242,15 @@ def _random_sample(B: GeneratorSet, trials: int, seed: int, e_max: int) -> list:
 
 
 def cmd_delta(ns) -> dict:
+    from .factorizer import SearchCaps, solve_hub
+    from .lengths import (
+        delta_of_element,
+        delta_of_length_set,
+        delta_truncation_bound,
+        is_single_difference,
+        length_set,
+    )
+
     B = _parse_bases(ns)
     if ns.x is not None:
         x = parse_rational(ns.x)
@@ -293,6 +293,8 @@ def cmd_delta(ns) -> dict:
 
 
 def cmd_unions(ns) -> dict:
+    from .lengths import aap_check, union_of_lengths
+
     if ns.aap_d is not None and (ns.aap_d < 1 or ns.aap_n < 0):
         raise ParseError("--aap-d must be positive and --aap-n nonnegative")
     B = _parse_bases(ns)
@@ -327,6 +329,14 @@ def cmd_unions(ns) -> dict:
 
 
 def cmd_construct(ns) -> dict:
+    from .constructs import (
+        PrimeSeed,
+        delta_realization_check,
+        nonatomic_family,
+        nonatomic_witness,
+    )
+    from .factorizer import factorization_to_dict
+
     if ns.kind == "nonatomic":
         seed = None
         if ns.seed_primes:
@@ -367,105 +377,9 @@ def cmd_construct(ns) -> dict:
     }
 
 
-def _difftest_case(x, B: GeneratorSet, caps: SearchCaps) -> dict:
-    hub = solve_hub(x, B)
-    found = enumerate_factorizations(x, B, caps)
-    case = {"x": format_rational(x), "member": hub is not None, "checks": {}}
-    checks = case["checks"]
-
-    if hub is None:
-        checks["enumeration_empty"] = not found
-        case["ok"] = not found
-        return case
-
-    hub_fits = hub.length <= caps.len_max and hub.max_exponent() <= caps.e_max
-    checks["hub_in_enumeration"] = (hub in found) if hub_fits else None
-    agree = all(hub_normalize(z, B)[0] == hub for z in found)
-    checks["hub_agreement"] = agree
-
-    ok = agree and checks["hub_in_enumeration"] is not False
-
-    if x != 0:
-        mu = length_set(x, B)
-        enum_lengths = {z.length for z in found}
-        sound = all(mu.contains(v) for v in enum_lengths)
-        checks["soundness"] = sound
-        ok = ok and sound
-        if not B.improper_part:
-            t_safe = min(caps.len_max, hub.length + caps.e_max - hub.max_exponent())
-            window_struct = [v for v in mu.truncate(t_safe)]
-            window_enum = sorted(v for v in enum_lengths if v <= t_safe)
-            equal = window_struct == window_enum
-            checks["window"] = {
-                "bound": t_safe,
-                "structural": window_struct,
-                "enumerated": window_enum,
-                "equal": equal,
-            }
-            ok = ok and equal
-
-    if len(found) >= 2:
-        first, last = found[0], found[-1]
-        chain = rewrite_chain(first, last, B)
-        state = first
-        replay_ok = True
-        for step in chain:
-            before = state.length
-            state = apply_rewrite(state, step, B)
-            n_b = B.bases[step.base_index].numerator
-            d_b = B.bases[step.base_index].denominator
-            expected = (
-                step.multiplicity * (n_b - d_b)
-                if step.direction == "down"
-                else step.multiplicity * (d_b - n_b)
-            )
-            if state.length - before != expected or evaluate(state, B) != x:
-                replay_ok = False
-                break
-        replay_ok = replay_ok and state == last
-        checks["chain"] = {"steps": len(chain), "replayed": replay_ok}
-        ok = ok and replay_ok
-
-    case["ok"] = ok
-    return case
-
-
-def difftest(B: GeneratorSet, trials: int, caps: SearchCaps, rng_seed: int) -> dict:
-    """Cross-check hub, enumeration and length machinery on random elements.
-
-    Each trial evaluates a random factorization and re-derives everything
-    about its value from scratch; the report lists every case with its
-    individual check results, so a failure carries its counterexample.
-    """
-    if not B.is_canonical:
-        raise NotCanonical("difftest needs a canonical generator set")
-    rng = random.Random(rng_seed)
-    cases = []
-    for _ in range(trials):
-        terms = {}
-        for i, b in enumerate(B.bases):
-            for e in (1, 2):
-                c = rng.randint(0, b.denominator - 1)
-                if c:
-                    terms[(i, e)] = c
-        z = Factorization.from_terms(rng.randint(0, 3), terms)
-        cases.append(_difftest_case(evaluate(z, B), B, caps))
-    return _difftest_report(B, caps, rng_seed, cases)
-
-
-def _difftest_report(B: GeneratorSet, caps: SearchCaps, seed: int, cases: list) -> dict:
-    return {
-        "command": "difftest",
-        "bases": [format_rational(b) for b in B.bases],
-        "caps": {"e_max": caps.e_max, "len_max": caps.len_max},
-        "trials": len(cases),
-        "seed": seed,
-        "cases": cases,
-        "ok": all(c["ok"] for c in cases),
-    }
-
-
 def cmd_difftest(ns) -> dict:
+    from .check import _difftest_case, _difftest_report, difftest
+
     B = _parse_bases(ns)
     caps = _caps(ns)
     if ns.x is not None:
@@ -512,19 +426,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lengths", help="structural set of lengths")
     _add_base_options(p)
     p.add_argument("--x", required=True)
-    p.add_argument("--cap", type=int, default=64, help="listing bound (default 64)")
+    p.add_argument("--cap", type=_nonnegative_int, default=64, help="listing bound (default 64)")
 
     p = sub.add_parser("delta", help="delta set of one element or a random sample")
     _add_base_options(p)
     p.add_argument("--x")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_nonnegative_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emax", type=_nonnegative_int, default=4)
 
     p = sub.add_parser("unions", help="union of sets of lengths over k-atom elements")
     _add_base_options(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_nonnegative_int, default=64)
     _add_cap_options(p)
     p.add_argument("--aap-d", type=int, help="also check the members form an AAP")
     p.add_argument("--aap-n", type=int, default=0, help="AAP fuzz bound")
@@ -534,7 +448,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed-primes", help="comma-separated primes")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=24)
+    p.add_argument("--nmax", type=_nonnegative_int, default=24)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--K", type=int, default=None)
@@ -544,7 +458,7 @@ def build_parser() -> _Parser:
     _add_base_options(p)
     p.add_argument("--x")
     _add_cap_options(p)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_nonnegative_int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
     for sp in sub.choices.values():

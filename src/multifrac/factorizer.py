@@ -232,12 +232,19 @@ def enumerate_factorizations(
 
     Ground-truth oracle: bounded search against the definition, valid for
     any generator set (no canonicity assumed) and deliberately independent
-    of the hub machinery.  The only pruning beyond value and budget is an
-    arithmetic necessity: any sum of the still-available slot values has
-    denominator dividing their product, so a remainder whose denominator
-    does not divide it can never be completed.  Slots run highest
-    exponent first so that pruning bites early.  Output order is
-    deterministic (sorted by term tuple, then c0).
+    of the hub machinery and of the length-set routes.  The only pruning
+    beyond value and budget is an arithmetic necessity: any sum of the
+    still-available slot values has denominator dividing their lcm
+    ``suffix_den[k]``, so a remainder whose denominator does not divide it
+    can never be completed.  Slots run highest exponent first so that
+    pruning bites early.  Output order is deterministic (sorted by term
+    tuple, then c0).
+
+    The search runs on integers: every value is scaled by
+    D = ``suffix_den[0]``, the lcm of all slot denominators, so a
+    remainder R/D has denominator dividing ``suffix_den[k]`` exactly when
+    D // ``suffix_den[k]`` divides R.  An x whose denominator does not
+    divide D fails that test at the root and has no factorization.
     """
     if x < 0:
         return []
@@ -252,26 +259,34 @@ def enumerate_factorizations(
     for k in range(len(slots) - 1, -1, -1):
         d = values[k].denominator
         suffix_den[k] = suffix_den[k + 1] * d // gcd(suffix_den[k + 1], d)
+    D = suffix_den[0]
+    x = Fraction(x)
+    if D % x.denominator:
+        return []
+    scaled = [v.numerator * (D // v.denominator) for v in values]
+    # The remainder R/D can still be completed from slot k on iff R % unit[k] == 0.
+    unit = [D // s for s in suffix_den]
+    last = len(slots)
     found: list[Factorization] = []
 
-    def descend(k: int, remaining: Fraction, budget: int, acc: dict) -> None:
-        if suffix_den[k] % remaining.denominator != 0:
-            return
-        if k == len(slots):
-            c0 = int(remaining)
+    def descend(k: int, R: int, budget: int, acc: dict) -> None:
+        if k == last:
+            c0 = R // D
             # The unit atom exists only when there is a generator at all.
-            if 0 <= c0 <= budget and (B.bases or c0 == 0):
+            if c0 <= budget and (B.bases or c0 == 0):
                 found.append(Factorization.from_terms(c0, dict(acc)))
             return
-        v = values[k]
-        c_max = min(budget, int(remaining / v)) if remaining > 0 else 0
-        for c in range(c_max + 1):
+        v, step, slot = scaled[k], unit[k + 1], slots[k]
+        for c in range(min(budget, R // v) + 1):
+            rest = R - c * v
+            if rest % step:
+                continue
             if c:
-                acc[slots[k]] = c
-            descend(k + 1, remaining - c * v, budget - c, acc)
-        acc.pop(slots[k], None)
+                acc[slot] = c
+            descend(k + 1, rest, budget - c, acc)
+        acc.pop(slot, None)
 
-    descend(0, Fraction(x), caps.len_max, {})
+    descend(0, x.numerator * (D // x.denominator), caps.len_max, {})
     return sorted(found, key=lambda z: (z.terms, z.c0))
 
 

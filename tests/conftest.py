@@ -1,16 +1,28 @@
-"""Shared randomized builders for the test suite.
+"""Shared builders for the test suite.
 
 The helpers draw structured random inputs: canonical generator sets
 respecting the coprime-denominator gate, and random formal
 factorizations over a given set.  Tests seed their own `random.Random`
-so every run is reproducible.
+so every run is reproducible.  `src_env` is the environment for tests
+that start a fresh interpreter.
 """
 
+import os
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from multifrac.factorizer import Factorization
 from multifrac.monoid import GeneratorSet, build_generator_set
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def random_canonical_set(

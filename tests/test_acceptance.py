@@ -31,8 +31,8 @@ import sys
 import time
 from fractions import Fraction
 
-from conftest import random_canonical_set, random_factorization
-from multifrac.cli import difftest
+from conftest import random_canonical_set, random_factorization, src_env
+from multifrac.check import difftest
 from multifrac.constructs import (
     delta_realization_check,
     nonatomic_family,
@@ -299,6 +299,7 @@ def test_criterion_9_cli_byte_determinism():
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "multifrac.cli", *argv],
+                env=src_env(),
                 capture_output=True,
                 text=True,
             )

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from multifrac.cli import Command, difftest, main, parse_command, run
+from multifrac.check import difftest
+from multifrac.cli import Command, main, parse_command, run
 from multifrac.exceptions import NotCanonical
 from multifrac.factorizer import SearchCaps
 from multifrac.monoid import build_generator_set
@@ -52,6 +53,12 @@ def test_usage_errors_exit_1(capsys):
         ["unions", "--bases", "2/3", "--k", "2", "--aap-d", "1", "--aap-n", "-1"],
         ["delta", "--bases", "2/3", "--emax", "-1"],
         ["factorize", "--bases", "2/3", "--x", "2", "--emax", "2", "--lenmax", "7", "--limit", "-1"],
+        ["delta", "--bases", "2/3,4/5", "--trials", "-3", "--json"],
+        ["lengths", "--bases", "2/3", "--x", "2", "--cap", "-1"],
+        ["unions", "--bases", "2/3", "--k", "2", "--cap", "-1"],
+        ["factorize", "--bases", "2/3", "--x", "2", "--lenmax", "-1"],
+        ["construct", "--kind", "nonatomic", "--nmax", "-1"],
+        ["difftest", "--bases", "2/3", "--trials", "-1"],
     ):
         code, out, err = invoke(capsys, argv)
         assert code == 1, argv

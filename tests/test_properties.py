@@ -1,19 +1,21 @@
-"""Property tests: the improper and mixed length-set routes against the oracle.
+"""Property tests: the oracle, and the improper and mixed routes against it.
 
-Hypothesis draws small generator sets and elements; every property
-compares the structural code with `enumerate_factorizations` (or a plain
-search written here) at caps under which the search provably sees every
-factorization it is compared on.  The runs are derandomized, so each
-test sees the same examples on every run.
+Hypothesis draws small generator sets and elements.  The oracle
+`enumerate_factorizations` is compared with a plain search over
+fractions written here; every other property compares the structural
+code with the oracle (or a plain search written here) at caps under
+which the search provably sees every factorization it is compared on.
+The runs are derandomized, so each test sees the same examples on every
+run.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multifrac.factorizer import SearchCaps, enumerate_factorizations, solve_hub
+from multifrac.factorizer import Factorization, SearchCaps, enumerate_factorizations, solve_hub
 from multifrac.lengths import improper_divisor_pairs, improper_lengths, length_set
 from multifrac.monoid import build_generator_set, improper_reduction, proper_reduction
 
@@ -78,6 +80,60 @@ def short_elements(draw, B, atoms: int, e_top: int, cap: int):
 
 
 CAPS = st.one_of(st.none(), st.builds(SearchCaps, st.integers(0, 3), st.integers(0, 12)))
+
+
+def reference_factorizations(x, B, caps):
+    """Every factorization of x under the caps, by a plain search over fractions.
+
+    Slots are visited base by base, highest exponent first.  A remainder
+    is dropped once its denominator does not divide the lcm of the
+    denominators of the slots still to come: no sum of those can reach it.
+    """
+    slots = [(i, e) for i in range(len(B.bases)) for e in range(caps.e_max, 0, -1)]
+    reach = [lcm(*(B.bases[i].denominator ** e for i, e in slots[k:])) for k in range(len(slots) + 1)]
+    found = []
+
+    def search(k, rest, budget, terms):
+        if reach[k] % rest.denominator:
+            return
+        if k == len(slots):
+            if rest <= budget and (B.bases or rest == 0):
+                found.append(Factorization.from_terms(int(rest), terms))
+            return
+        i, e = slots[k]
+        c = 0
+        while c <= budget and c * B.bases[i] ** e <= rest:
+            search(k + 1, rest - c * B.bases[i] ** e, budget - c, {**terms, (i, e): c})
+            c += 1
+
+    if x >= 0:
+        search(0, Fraction(x), caps.len_max, {})
+    return sorted(found, key=lambda z: (z.terms, z.c0))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A set of at most two bases (integers and shared denominators allowed,
+    or no base at all), caps, and a sum of a few of its powers up to one
+    exponent past the cap, sometimes shifted by a fraction whose
+    denominator no base power divides."""
+    fractions = st.builds(Fraction, st.sampled_from(range(1, 10)), st.sampled_from(range(1, 7)))
+    size = draw(st.sampled_from([2, 1, 2, 1, 0]))
+    bases = draw(st.sets(fractions, min_size=size, max_size=size))
+    B = build_generator_set(bases)
+    # Counted down from the top, so that most draws are not tiny searches.
+    caps = SearchCaps(5 - draw(st.integers(0, 5)), 16 - draw(st.integers(0, 16)))
+    powers = [Fraction(1)] + [b**e for b in B.bases for e in range(1, caps.e_max + 2)]
+    x = sum(draw(st.lists(st.sampled_from(powers), max_size=min(8, caps.len_max))), Fraction(0))
+    x += draw(st.sampled_from([0, 0, Fraction(1, 7), Fraction(2, 11), Fraction(1, 3)]))
+    return B, x, caps
+
+
+@settings(PROPERTY, max_examples=150)
+@given(oracle_cases())
+def test_oracle_equals_a_plain_fraction_search(case):
+    B, x, caps = case
+    assert enumerate_factorizations(x, B, caps) == reference_factorizations(x, B, caps)
 
 
 def _largest_prime_exponent(n: int) -> int:
