@@ -36,7 +36,6 @@ _EXPORTS = {
     "delta_sample": "lengths",
     "hub_witness_sets": "lengths",
     "improper_divisor_pairs": "lengths",
-    "is_length_set_infinite": "lengths",
     "is_single_difference": "lengths",
     "length_set": "lengths",
     "length_set_proper": "lengths",

@@ -32,7 +32,7 @@ from .exceptions import (
     ValueMismatch,
 )
 from .monoid import GeneratorSet
-from .qcore import Rational, factorize, format_rational, parse_rational
+from .qcore import Rational, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,21 @@ def hub_normalize(z: Factorization, B: GeneratorSet):
 def solve_hub(x: Rational, B: GeneratorSet) -> Factorization | None:
     """Decide membership of x and return its hub, or None.
 
-    The denominator of x splits into prime-power parts each owned by a
-    unique generator (denominators are pairwise coprime), so x splits by
-    partial fractions into per-generator contributions.  Within one
+    The denominator of x splits, by gcds alone, into coprime parts
+    q_i, where q_i collects every prime of den(x) that divides d(b_i):
+    repeating ``g = gcd(rest, g)`` from ``g = gcd(rest, d(b_i))`` keeps
+    dividing ``rest`` by those primes until none is left in it.  The split
+    is exact because the denominators of a canonical set are pairwise
+    coprime, so every prime of den(x) divides at most one d(b_i); a part
+    of den(x) left over after every generator has taken its own lies in
+    no power of any generator, and x is not a member.  x then splits by
+    partial fractions into per-generator contributions rep/q_i.
+
+    Peeling for generator i starts at the least level E with
+    q_i | d(b_i)**E.  Any higher level e gives a coefficient of zero,
+    since rep/q_i * d(b_i)**e is then a multiple of d(b_i), so starting
+    higher changes nothing; in particular the largest prime exponent of
+    q_i, which is never below E, yields the same hub.  Within one
     generator the top coefficient at level e is forced modulo d(b) by
 
         rem * d(b)**e  ===  c * n(b)**e   (mod d(b)),
@@ -189,20 +201,25 @@ def solve_hub(x: Rational, B: GeneratorSet) -> Factorization | None:
     dx = x.denominator
     terms: dict[tuple[int, int], int] = {}
     if dx > 1:
-        owned: dict[int, dict[int, int]] = {}
-        for p, a in factorize(dx).items():
-            owners = [i for i, b in enumerate(B.bases) if b.denominator % p == 0]
-            if not owners:
-                return None
-            owned.setdefault(owners[0], {})[p] = a
-        for i in sorted(owned):
+        rest = dx
+        parts: list[tuple[int, int]] = []
+        for i, b in enumerate(B.bases):
+            q = 1
+            g = gcd(rest, b.denominator)
+            while g > 1:
+                q *= g
+                rest //= g
+                g = gcd(rest, g)
+            if q > 1:
+                parts.append((i, q))
+        if rest > 1:
+            return None
+        for i, q in parts:
             b = B.bases[i]
             d_i, n_i = b.denominator, b.numerator
-            part = owned[i]
-            q = 1
-            for p, a in part.items():
-                q *= p**a
-            cap = max(part.values())
+            cap, power = 1, d_i
+            while power % q:
+                cap, power = cap + 1, power * d_i
             # Fractional representative of this generator's contribution.
             rep = (x.numerator * pow((dx // q) % q, -1, q)) % q
             rem = Fraction(rep, q)

@@ -122,9 +122,6 @@ class MapUnion:
     def shifted(self, delta: int) -> "MapUnion":
         return MapUnion(c.shifted(delta) for c in self.components)
 
-    def merged(self, other: "MapUnion") -> "MapUnion":
-        return MapUnion(self.components + other.components)
-
     def to_dict(self) -> dict:
         return {
             "components": [
@@ -481,12 +478,6 @@ def _length_set_parts(
         prop = _proper_components(hub_yp, B_prop)
         comps.extend(c.shifted(n) for n in slots.lengths(y) for c in prop)
     return hub, MapUnion(comps), _divisor_report(slots, split)
-
-
-def is_length_set_infinite(
-    x: Rational, B: GeneratorSet, caps: SearchCaps | None = None
-) -> bool:
-    return length_set(x, B, caps).is_infinite()
 
 
 def delta_truncation_bound(mu: MapUnion) -> int:

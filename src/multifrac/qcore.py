@@ -1,8 +1,11 @@
-"""Exact rational arithmetic and small number-theory helpers.
+"""Exact rationals: a primality test, parsing and formatting.
 
 Everything here works on arbitrary-precision integers and reduced
 fractions.  No floating point appears anywhere in this package: the
 rewrite identities the higher modules rely on hold only exactly.
+Nothing factors an integer either: `is_prime` serves only the
+prime-seeded constructions, and `solve_hub` splits a denominator among
+the generators by gcds.
 """
 
 from __future__ import annotations
@@ -41,22 +44,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return n == p
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise ValueError(f"can only factorize positive integers, got {n}")
-    out: dict[int, int] = {}
-    for p in _trial_divisors():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def parse_rational(text: str) -> Rational:

@@ -48,7 +48,7 @@ from multifrac.factorizer import (
 from multifrac.lengths import (
     aap_check,
     delta_of_element,
-    is_length_set_infinite,
+    length_set,
     length_set_proper,
     union_of_lengths,
 )
@@ -219,7 +219,7 @@ def test_criterion_5_hereditary_detection():
         ok = ok and base == wide and z.length in base
 
     ok = ok and not B23.is_hereditarily_atomic
-    ok = ok and is_length_set_infinite(Fraction(2), B23)
+    ok = ok and length_set(Fraction(2), B23).is_infinite()
     _line(
         5,
         ok,

@@ -1,9 +1,12 @@
 """Command-line surface: parsing, reports, caching, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
+from conftest import src_env
 from multifrac.check import difftest
 from multifrac.cli import Command, main, parse_command, run
 from multifrac.exceptions import NotCanonical
@@ -76,6 +79,25 @@ def test_member_json_shape(capsys):
         "member": True,
         "hub": {"c0": 0, "terms": [{"base": "2/3", "exp": 1, "coeff": 2}]},
     }
+
+
+def test_member_over_a_product_of_two_large_primes_returns_quickly():
+    """den(x) = (10^12+39)(10^12+61) is split among the bases by gcds, so
+    no step of the process costs on the order of the square root of a prime."""
+    base = f"2/{(10**12 + 39) * (10**12 + 61)}"
+    env = src_env()
+    env.pop("MULTIFRAC_CACHE", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "multifrac.cli", "member", "--bases", base, "--x", base, "--json"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["member"] is True
+    assert data["hub"] == {"c0": 0, "terms": [{"base": base, "exp": 1, "coeff": 1}]}
 
 
 def test_member_false_is_not_an_error(capsys):

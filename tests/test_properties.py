@@ -1,10 +1,12 @@
-"""Property tests: the oracle, and the improper and mixed routes against it.
+"""Property tests: the oracle, the hub solver, and the improper and mixed
+routes against the oracle.
 
 Hypothesis draws small generator sets and elements.  The oracle
 `enumerate_factorizations` is compared with a plain search over
-fractions written here; every other property compares the structural
-code with the oracle (or a plain search written here) at caps under
-which the search provably sees every factorization it is compared on.
+fractions written here, and `solve_hub` with `hub_normalize`; every
+other property compares the structural code with the oracle (or a plain
+search written here) at caps under which the search provably sees every
+factorization it is compared on.
 The runs are derandomized, so each test sees the same examples on every
 run.
 """
@@ -15,7 +17,14 @@ from math import gcd, lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multifrac.factorizer import Factorization, SearchCaps, enumerate_factorizations, solve_hub
+from multifrac.factorizer import (
+    Factorization,
+    SearchCaps,
+    enumerate_factorizations,
+    evaluate,
+    hub_normalize,
+    solve_hub,
+)
 from multifrac.lengths import improper_divisor_pairs, improper_lengths, length_set
 from multifrac.monoid import build_generator_set, improper_reduction, proper_reduction
 
@@ -134,6 +143,49 @@ def oracle_cases(draw):
 def test_oracle_equals_a_plain_fraction_search(case):
     B, x, caps = case
     assert enumerate_factorizations(x, B, caps) == reference_factorizations(x, B, caps)
+
+
+# Product of two 12-digit primes: far beyond trial division.
+BIG_DEN = (10**12 + 39) * (10**12 + 61)
+HUB_DENS = (4, 8, 9, 25, 27, 7, BIG_DEN)
+
+
+@st.composite
+def hub_cases(draw):
+    """A canonical set of one to three bases, with denominators drawn
+    from prime powers and a product of two large primes, and a random
+    factorization over it whose coefficients may exceed the denominators."""
+    dens = []
+    for d in draw(st.permutations(HUB_DENS))[: draw(st.integers(1, 3))]:
+        if all(gcd(d, other) == 1 for other in dens):
+            dens.append(d)
+    bases = []
+    for d in dens:
+        n = draw(st.integers(2, 3 * min(d, 30)).filter(lambda n, d=d: gcd(n, d) == 1))
+        bases.append(Fraction(n, d))
+    B = build_generator_set(bases)
+    terms = {
+        (i, e): draw(st.integers(0, 60))
+        for i in range(len(B.bases))
+        for e in range(1, 5)
+        if draw(st.booleans())
+    }
+    return B, Factorization.from_terms(draw(st.integers(0, 5)), terms)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.data(), hub_cases())
+def test_solve_hub_equals_hub_normalize(data, case):
+    """The gcd split and congruence peeling of `solve_hub` find the hub
+    that the downward rewrite sweep reaches; adding 1/(d(b)*p) for a
+    prime p that divides no denominator gives a non-member."""
+    B, z = case
+    x = evaluate(z, B)
+    assert solve_hub(x, B) == hub_normalize(z, B)[0]
+    foreign = [p for p in (2, 3, 5, 7, 11, 10**12 + 39) if all(b.denominator % p for b in B.bases)]
+    p = data.draw(st.sampled_from(foreign))
+    d = data.draw(st.sampled_from([b.denominator for b in B.bases]))
+    assert solve_hub(x + Fraction(1, d * p), B) is None
 
 
 def _largest_prime_exponent(n: int) -> int:

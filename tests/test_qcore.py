@@ -1,4 +1,4 @@
-"""Rational kernel: primes, factorization, parsing and formatting."""
+"""Rational kernel: primes, parsing and formatting."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from multifrac.exceptions import ParseError
-from multifrac.qcore import factorize, format_rational, is_prime, parse_rational
+from multifrac.qcore import format_rational, is_prime, parse_rational
 
 
 def test_is_prime_matches_naive_sieve():
@@ -14,25 +14,6 @@ def test_is_prime_matches_naive_sieve():
     assert [n for n in range(2, 500) if is_prime(n)] == naive
     assert not is_prime(0)
     assert not is_prime(1)
-
-
-def test_factorize_small_table():
-    assert factorize(1) == {}
-    assert factorize(12) == {2: 2, 3: 1}
-    assert factorize(97) == {97: 1}
-
-
-def test_factorize_reconstructs_random_integers():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 10**6)
-        fac = factorize(n)
-        product = 1
-        for p, e in fac.items():
-            assert is_prime(p)
-            assert e >= 1
-            product *= p**e
-        assert product == n
 
 
 def test_parse_format_round_trip():
