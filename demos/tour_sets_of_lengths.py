@@ -9,7 +9,6 @@ family.  Run me with: python3 demos/tour_sets_of_lengths.py
 from fractions import Fraction
 
 from multifrac import (
-    SearchCaps,
     aap_check,
     build_generator_set,
     delta_of_element,
@@ -52,11 +51,10 @@ def main() -> None:
     print(f"Mixed sets split members across the improper/proper divide:")
     for y, yp in rep.pairs:
         print(f"  2 = {y} (improper side) + {yp} (proper side)")
-    print(f"  complete: {rep.complete}")
     print()
 
     print("Unions over all elements admitting a k-atom factorization:")
-    rep = union_of_lengths(3, B23, SearchCaps(4, 64), bound=24)
+    rep = union_of_lengths(3, B23, 4, bound=24)
     print(f"  U_3 over {{2/3}} within [1, 24]: {list(rep.members)}")
     witness = aap_check(rep.members, 1, 0)
     print(f"  arithmetic-progression witness: anchor {witness.y}, "

@@ -242,10 +242,9 @@ def _random_sample(B: GeneratorSet, trials: int, seed: int, e_max: int) -> list:
 
 
 def cmd_delta(ns) -> dict:
-    from .factorizer import SearchCaps, solve_hub
     from .lengths import (
-        delta_of_element,
         delta_of_length_set,
+        delta_sample,
         delta_truncation_bound,
         is_single_difference,
         length_set,
@@ -264,18 +263,9 @@ def cmd_delta(ns) -> dict:
             "scan_bound": delta_truncation_bound(mu),
         }
     sample = sorted(set(_random_sample(B, ns.trials, ns.seed, ns.emax)))
-    caps = SearchCaps(e_max=ns.emax, len_max=64)
-    per_element = []
-    union: set[int] = set()
-    for v in sample:
-        if solve_hub(v, B) is not None:
-            delta = delta_of_element(v, B, caps)
-            union |= delta
-            per_element.append({"x": format_rational(v), "delta": sorted(delta)})
+    deltas = delta_sample(B, sample)
+    per_element = [{"x": format_rational(v), "delta": sorted(d)} for v, d in deltas.items()]
     single = is_single_difference(B)
-    exact = single is not None and any(
-        e["delta"] == [single] for e in per_element
-    )
     return {
         "command": "delta",
         "bases": [format_rational(b) for b in B.bases],
@@ -284,10 +274,10 @@ def cmd_delta(ns) -> dict:
         "sample_size": len(sample),
         "members": len(per_element),
         "skipped": len(sample) - len(per_element),
-        "deltas": sorted(union),
+        "deltas": sorted(set().union(*deltas.values())),
         "lower_bound": True,
         "single_difference": single,
-        "exact": exact,
+        "exact": single is not None and {single} in deltas.values(),
         "per_element": per_element,
     }
 
@@ -298,14 +288,13 @@ def cmd_unions(ns) -> dict:
     if ns.aap_d is not None and (ns.aap_d < 1 or ns.aap_n < 0):
         raise ParseError("--aap-d must be positive and --aap-n nonnegative")
     B = _parse_bases(ns)
-    caps = _caps(ns)
-    report = union_of_lengths(ns.k, B, caps, bound=ns.cap)
+    report = union_of_lengths(ns.k, B, ns.emax, bound=ns.cap)
     out = {
         "command": "unions",
         "bases": [format_rational(b) for b in B.bases],
         "k": report.k,
         "bound": report.bound,
-        "emax": caps.e_max,
+        "emax": ns.emax,
         "members": list(report.members),
         "elasticity": "inf" if report.elasticity is None else report.elasticity,
         "complete": report.complete,
@@ -355,7 +344,7 @@ def cmd_construct(ns) -> dict:
             "witness": witness.to_dict() if witness is not None else None,
         }
     level = ns.K if ns.K is not None else ns.k
-    report = delta_realization_check(ns.d, level, _caps(ns))
+    report = delta_realization_check(ns.d, level)
     return {
         "command": "construct",
         "kind": "delta",
@@ -439,7 +428,7 @@ def build_parser() -> _Parser:
     _add_base_options(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cap", type=_nonnegative_int, default=64)
-    _add_cap_options(p)
+    p.add_argument("--emax", type=_nonnegative_int, default=4, help="exponent cap (default 4)")
     p.add_argument("--aap-d", type=int, help="also check the members form an AAP")
     p.add_argument("--aap-n", type=int, default=0, help="AAP fuzz bound")
 
@@ -452,7 +441,6 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--K", type=int, default=None)
-    _add_cap_options(p)
 
     p = sub.add_parser("difftest", help="cross-check search, hub and length machinery")
     _add_base_options(p)

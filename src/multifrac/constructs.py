@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import BadLevel, BadSeed
-from .lengths import MapUnion, delta_of_element, length_set
-from .factorizer import Factorization, SearchCaps, solve_hub
+from .lengths import MapUnion, delta_of_length_set, length_set
+from .factorizer import Factorization, solve_hub
 from .monoid import GeneratorSet, build_generator_set
 from .qcore import Rational, format_rational, is_prime
 
@@ -239,9 +239,7 @@ class DeltaRealizationReport:
         return self.inclusion and self.divisibility
 
 
-def delta_realization_check(
-    d: int, k: int, caps: SearchCaps | None = None
-) -> DeltaRealizationReport:
+def delta_realization_check(d: int, k: int) -> DeltaRealizationReport:
     """Verify that level k's witness element realizes {d, 2d, ..., (2k-1)d}.
 
     The witness is z = n(b)·b**2 + n(b')·b'**2 over level k's pair, whose
@@ -270,8 +268,8 @@ def delta_realization_check(
     x = b_even.numerator * b_even**2 + b_odd.numerator * b_odd**2
     hub = solve_hub(x, B)
     assert hub == z, "the witness combination must already be the hub"
-    lengths = length_set(x, B, caps)
-    observed = tuple(sorted(delta_of_element(x, B, caps)))
+    lengths = length_set(x, B)
+    observed = tuple(sorted(delta_of_length_set(lengths)))
     required = tuple(d * i for i in range(1, 2 * k))
     # First generator beyond the truncation: the even one of level K + 1,
     # whose numerator is the smallest among all excluded levels.

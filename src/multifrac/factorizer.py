@@ -28,11 +28,10 @@ from .exceptions import (
     BadIndex,
     NotCanonical,
     NotHub,
-    ParseError,
     ValueMismatch,
 )
 from .monoid import GeneratorSet
-from .qcore import Rational, format_rational, parse_rational
+from .qcore import Rational, format_rational
 
 
 @dataclass(frozen=True)
@@ -181,8 +180,15 @@ def solve_hub(x: Rational, B: GeneratorSet) -> Factorization | None:
     because every lower term still carries a factor of d(b) after
     clearing; integer shifts of rem are invisible mod d(b) for e >= 1, so
     the fractional representative suffices.  Peeling levels top-down
-    determines all coefficients; the leftover must be a nonnegative
-    integer c0.  Every failure mode certifies non-membership.
+    determines all coefficients, and every rem it sees stays integral
+    after scaling: rem * d(b)**E is an integer by the choice of E, and
+    if t = rem * d(b)**e is one, then c is chosen so that d(b) divides
+    t - c * n(b)**e, which is (rem - c * b**e) * d(b)**e; so the new rem
+    times d(b)**(e-1) is an integer too, and after level 1 rem itself is
+    one.  The contributions rep/q_i add up to x minus an integer (their
+    sum times den(x) is congruent to num(x) modulo every q_i), so the
+    leftover c0 is always an integer, and x is a member exactly when no
+    part of den(x) is left over and c0 is nonnegative.
 
     When every generator is below 1, the hub is also the unique
     shortest factorization of x: a downward rewrite trades d(b) copies
@@ -225,19 +231,15 @@ def solve_hub(x: Rational, B: GeneratorSet) -> Factorization | None:
             rem = Fraction(rep, q)
             for e in range(cap, 0, -1):
                 t = rem * Fraction(d_i) ** e
-                if t.denominator != 1:
-                    return None
                 c = (t.numerator * pow(pow(n_i, e, d_i), -1, d_i)) % d_i
                 if c:
                     terms[(i, e)] = c
                     rem -= c * b**e
-            if rem.denominator != 1:
-                return None
 
     residue = x
     for (i, e), c in terms.items():
         residue -= c * B.bases[i] ** e
-    if residue.denominator != 1 or residue < 0:
+    if residue < 0:
         return None
     return Factorization.from_terms(int(residue), terms)
 
@@ -401,17 +403,3 @@ def factorization_to_dict(z: Factorization, B: GeneratorSet) -> dict:
             for (i, e, c) in z.terms
         ],
     }
-
-
-def factorization_from_dict(data: dict, B: GeneratorSet) -> Factorization:
-    terms: dict[tuple[int, int], int] = {}
-    for t in data["terms"]:
-        b = parse_rational(t["base"])
-        try:
-            i = B.bases.index(b)
-        except ValueError:
-            raise ParseError(f"base {t['base']} is not in the generator set") from None
-        key = (i, int(t["exp"]))
-        terms[key] = terms.get(key, 0) + int(t["coeff"])
-    return Factorization.from_terms(int(data["c0"]), terms)
-

@@ -40,7 +40,6 @@ from .exceptions import (
 from .factorizer import (
     Factorization,
     SearchCaps,
-    enumerate_factorizations,
     solve_hub,
 )
 from .monoid import (
@@ -130,16 +129,6 @@ class MapUnion:
             ]
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MapUnion":
-        """Inverse of `to_dict`; a bounded progression (finite ``l``) is rejected."""
-        comps = []
-        for c in data["components"]:
-            if any(t["l"] != "inf" for t in c["diffs"]):
-                raise ValueError("every progression of a set of lengths is unbounded")
-            comps.append(MapComponent(int(c["offset"]), tuple(int(t["d"]) for t in c["diffs"])))
-        return cls(comps)
-
 
 @dataclass(frozen=True)
 class HubWitnessSets:
@@ -209,30 +198,15 @@ def _improper_value_caps(y: Rational, B_imp: GeneratorSet) -> SearchCaps:
     return SearchCaps(e_max=e_self, len_max=int(y))
 
 
-def _clamp_caps(
-    wanted: SearchCaps, caps: SearchCaps | None
-) -> tuple[SearchCaps, bool]:
-    """Clip self-derived bounds by user caps; report whether anything was cut."""
-    if caps is None:
-        return wanted, True
-    clipped = SearchCaps(
-        e_max=min(wanted.e_max, caps.e_max),
-        len_max=min(wanted.len_max, caps.len_max),
-    )
-    complete = wanted.e_max <= caps.e_max and wanted.len_max <= caps.len_max
-    return clipped, complete
-
-
 class _ImproperSlots:
     """The improper atoms of value at most x, scaled to integers.
 
-    ``caps`` are the bounds self-derived from x (`_improper_value_caps`),
-    clipped by the user's caps; ``complete`` says whether nothing was
-    clipped.  With E = max(caps.e_max, 0), every power b**e with e <= E
-    has a denominator dividing ``scale`` = prod d(b)**E, so all values
-    here are multiplied by ``scale``.  The slots are the powers b**e <= x,
-    base by base with the highest exponent first, then the unit atom 1,
-    which exists only when there is an improper generator.
+    ``caps`` are the bounds self-derived from x (`_improper_value_caps`).
+    With E = caps.e_max, every power b**e with e <= E has a denominator
+    dividing ``scale`` = prod d(b)**E, so all values here are multiplied
+    by ``scale``.  The slots are the powers b**e <= x, base by base with
+    the highest exponent first, then the unit atom 1, which exists only
+    when there is an improper generator.
 
     Slot k carries g_k, the gcd of its value and of every later slot's
     value.  For a slot of value v, a count c leaves a remainder
@@ -242,10 +216,10 @@ class _ImproperSlots:
     this object, that is one call of the public function that built it.
     """
 
-    def __init__(self, x: Rational, B_imp: GeneratorSet, caps: SearchCaps | None):
+    def __init__(self, x: Rational, B_imp: GeneratorSet):
         self.x = Fraction(x)
-        self.caps, self.complete = _clamp_caps(_improper_value_caps(x, B_imp), caps)
-        e_top = max(self.caps.e_max, 0)
+        self.caps = _improper_value_caps(x, B_imp)
+        e_top = self.caps.e_max
         self.scale = 1
         for b in B_imp.bases:
             self.scale *= b.denominator**e_top
@@ -274,7 +248,7 @@ class _ImproperSlots:
         self._memo: dict[tuple[int, int], frozenset[int]] = {}
 
     def lengths(self, y: Rational) -> set[int]:
-        """Lengths within ``caps`` of the factorizations of y <= x (see `improper_lengths`)."""
+        """Lengths of the factorizations of y <= x (see `improper_lengths`)."""
         scaled = Fraction(y) * self.scale
         if scaled < 0 or scaled.denominator != 1:
             return set()
@@ -283,7 +257,7 @@ class _ImproperSlots:
             return {0} if rem == 0 else set()
         if rem % self.slots[0][1]:
             return set()
-        return {n for n in self._lengths_from(0, rem) if n <= self.caps.len_max}
+        return set(self._lengths_from(0, rem))
 
     def _lengths_from(self, k: int, rem: int) -> frozenset[int]:
         """Lengths of the sums of slots k, k+1, ... equal to rem, a multiple of g_k."""
@@ -328,22 +302,17 @@ class _ImproperSlots:
         return split
 
 
-def improper_lengths(
-    y: Rational, B_imp: GeneratorSet, caps: SearchCaps | None = None
-) -> set[int]:
+def improper_lengths(y: Rational, B_imp: GeneratorSet) -> set[int]:
     """All factorization lengths of y over an all-improper set.
 
-    A search on integers, complete unless the supplied caps cut it
-    shorter.  Every atom is at least 1, so a factorization of y uses only
-    powers b**e <= y and has at most floor(y) atoms: these are the
-    self-derived caps, clipped by ``caps``.  Every power within them has
-    a denominator dividing D = prod d(b)**E (E the exponent cap), so y
-    and every atom are scaled by D and the question stays exact on
-    ints.  The search fixes the count of one slot at a time, highest
-    exponent first and the unit last, and tries every count that keeps
-    the remainder nonnegative, so it meets every factorization within
-    the exponent cap; only the lengths it reports are cut by the length
-    cap.
+    A complete search on integers.  Every atom is at least 1, so a
+    factorization of y uses only powers b**e <= y and has at most
+    floor(y) atoms.  Every power b**e <= y has a denominator dividing
+    D = prod d(b)**E (E the largest such e), so y and every atom are
+    scaled by D and the question stays exact on ints.  The search fixes
+    the count of one slot at a time, highest exponent first and the unit
+    last, and tries every count that keeps the remainder nonnegative, so
+    it meets every factorization of y.
 
     The one prune: the slots still to come only ever sum to multiples of
     g, the gcd of their values, so a remainder that g does not divide
@@ -357,7 +326,7 @@ def improper_lengths(
         raise ValueError("improper lengths need every base above 1")
     if y == 0:
         return {0}
-    return _ImproperSlots(y, B_imp, caps).lengths(y)
+    return _ImproperSlots(y, B_imp).lengths(y)
 
 
 @dataclass(frozen=True)
@@ -367,14 +336,14 @@ class ImproperDivisorReport:
     y runs over the submonoid spanned by the improper generators plus
     units, y' over the proper-side monoid.  Both sides may absorb units;
     the union over all pairs is unaffected by that overlap.  ``caps``
-    records the bounds the enumeration actually ran with and
-    ``complete`` whether they were self-derived (exhaustive) or clipped.
+    records the bounds self-derived from x that the enumeration ran
+    with; the enumeration is exhaustive, so the report is always
+    complete.
     """
 
     x: Rational
     pairs: tuple[tuple[Rational, Rational], ...]
     caps: SearchCaps
-    complete: bool
 
     def to_dict(self) -> dict:
         return {
@@ -384,25 +353,21 @@ class ImproperDivisorReport:
                 for y, yp in self.pairs
             ],
             "caps": {"e_max": self.caps.e_max, "len_max": self.caps.len_max},
-            "complete": self.complete,
+            "complete": True,
         }
 
 
 def _divisor_report(slots: _ImproperSlots, split) -> ImproperDivisorReport:
     pairs = tuple((y, slots.x - y) for y, _ in split)
-    return ImproperDivisorReport(slots.x, pairs, slots.caps, slots.complete)
+    return ImproperDivisorReport(slots.x, pairs, slots.caps)
 
 
-def improper_divisor_pairs(
-    x: Rational, B: GeneratorSet, caps: SearchCaps | None = None
-) -> ImproperDivisorReport:
+def improper_divisor_pairs(x: Rational, B: GeneratorSet) -> ImproperDivisorReport:
     """Enumerate all (y, y') with y + y' = x splitting improper from proper.
 
-    y runs over the sums <= x of units and improper powers b**e with e
-    at most the exponent cap, self-derived from x (no larger power fits)
-    and clipped by ``caps``; y' must lie in the proper-side monoid, which
-    one `solve_hub` per distinct y decides.  The length cap never cuts a
-    candidate y: it bounds reported lengths only.
+    y runs over the sums <= x of units and improper powers b**e <= x;
+    y' must lie in the proper-side monoid, which one `solve_hub` per
+    distinct y decides.
 
     The candidates come from one pass on integers, scaled by D as in
     `improper_lengths`, so y is Y / D.  The proper denominators are
@@ -422,33 +387,27 @@ def improper_divisor_pairs(
     if x < 0:
         raise NotMember(f"{x} is negative")
     if x == 0:
-        eff, complete = _clamp_caps(SearchCaps(0, 0), caps)
-        return ImproperDivisorReport(
-            x, ((Fraction(0), Fraction(0)),), eff, complete
-        )
-    slots = _ImproperSlots(x, improper_reduction(B), caps)
+        return ImproperDivisorReport(x, ((Fraction(0), Fraction(0)),), SearchCaps(0, 0))
+    slots = _ImproperSlots(x, improper_reduction(B))
     return _divisor_report(slots, slots.splitting(proper_reduction(B)))
 
 
-def length_set(
-    x: Rational, B: GeneratorSet, caps: SearchCaps | None = None
-) -> MapUnion:
+def length_set(x: Rational, B: GeneratorSet) -> MapUnion:
     """Exact L(x) for any canonical generator set.
 
     Dispatches on the proper/improper makeup: all-proper uses the hub
     witness description, all-improper the complete integer search of
     `improper_lengths`, and a mixed set unions shifted proper-side sets
-    over all splittings.
-    ``caps`` only ever clips the improper-side searches, which are
-    self-bounding when it is omitted.
+    over all splittings.  Every route is complete: the improper-side
+    searches bound themselves by x.
     """
     if not B.improper_part:
         return length_set_proper(x, B)
-    return _length_set_parts(x, B, caps)[1]
+    return _length_set_parts(x, B)[1]
 
 
 def _length_set_parts(
-    x: Rational, B: GeneratorSet, caps: SearchCaps | None = None
+    x: Rational, B: GeneratorSet
 ) -> tuple[Factorization, MapUnion, ImproperDivisorReport | None]:
     """The hub of x, L(x) and, for a mixed set, the splitting behind it.
 
@@ -468,10 +427,10 @@ def _length_set_parts(
 
     B_imp = improper_reduction(B)
     if not B.proper_part:
-        return hub, MapUnion.from_values(improper_lengths(x, B_imp, caps)), None
+        return hub, MapUnion.from_values(improper_lengths(x, B_imp)), None
 
     B_prop = proper_reduction(B)
-    slots = _ImproperSlots(x, B_imp, caps)
+    slots = _ImproperSlots(x, B_imp)
     split = slots.splitting(B_prop)
     comps = []
     for y, hub_yp in split:
@@ -499,10 +458,8 @@ def delta_of_length_set(mu: MapUnion) -> set[int]:
     return {b - a for a, b in zip(members, members[1:])}
 
 
-def delta_of_element(
-    x: Rational, B: GeneratorSet, caps: SearchCaps | None = None
-) -> set[int]:
-    return delta_of_length_set(length_set(x, B, caps))
+def delta_of_element(x: Rational, B: GeneratorSet) -> set[int]:
+    return delta_of_length_set(length_set(x, B))
 
 
 def is_single_difference(B: GeneratorSet) -> int | None:
@@ -518,24 +475,21 @@ def is_single_difference(B: GeneratorSet) -> int | None:
     return None
 
 
-def delta_sample(
-    B: GeneratorSet,
-    sample: list[Rational],
-    caps: SearchCaps | None = None,
-) -> set[int]:
-    """Union of the delta sets of the sampled members of the monoid.
+def delta_sample(B: GeneratorSet, sample: list[Rational]) -> dict[Rational, set[int]]:
+    """The delta set of each nonzero member of the sample, in sample order.
 
-    Non-members in the sample are skipped, so the result is a lower
-    bound for the distance set of the whole monoid.  It is exact when
-    is_single_difference(B) yields some d and a sampled element already
-    realizes {d}.
+    Non-members and 0 are skipped, so the union of the values is a lower
+    bound for the distance set of the whole monoid.  That union is exact
+    when is_single_difference(B) yields some d and a sampled element
+    already realizes {d}.
     """
-    union: set[int] = set()
+    deltas: dict[Rational, set[int]] = {}
     for x in sample:
-        if x == 0 or solve_hub(x, B) is None:
+        try:
+            deltas[x] = delta_of_element(x, B)
+        except NotMember:
             continue
-        union |= delta_of_element(x, B, caps)
-    return union
+    return deltas
 
 
 @dataclass(frozen=True)
@@ -551,12 +505,13 @@ class UnionReport:
 
 
 def union_of_lengths(
-    k: int, B: GeneratorSet, caps: SearchCaps | None = None, bound: int = 64
+    k: int, B: GeneratorSet, e_max: int = 4, bound: int = 64
 ) -> UnionReport:
     """U_k: every length coexisting with length k, truncated at ``bound``.
 
     Elements with a k-atom factorization are generated as k-multisets of
-    atoms with exponent <= caps.e_max, deduplicated by value.  When some
+    atoms with exponent <= e_max, deduplicated by value; the set of
+    lengths of each is exact.  When some
     contributing set of lengths is unbounded the elasticity is reported
     as None (infinite) and that conclusion is exact; the member list is
     only as complete as the exponent cap, so ``complete`` stays False.
@@ -565,15 +520,13 @@ def union_of_lengths(
         raise ZeroLength("unions of sets of lengths start at k = 1")
     if not B.bases:
         raise ValueError("the trivial monoid has no sets of lengths")
-    if caps is None:
-        caps = SearchCaps()
-    atoms = canonical_atoms(B, caps.e_max)
+    atoms = canonical_atoms(B, e_max)
     values = {sum((a.value for a in combo), Fraction(0))
               for combo in combinations_with_replacement(atoms, k)}
     union: set[int] = set()
     infinite = False
     for x in sorted(values):
-        mu = length_set(x, B, caps)
+        mu = length_set(x, B)
         infinite = infinite or mu.is_infinite()
         union.update(mu.truncate(bound))
     members = tuple(sorted(union))

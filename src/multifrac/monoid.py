@@ -22,7 +22,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .exceptions import DuplicateBase, NotAGenerator, NotCanonical, ZeroGenerator
-from .qcore import Rational, format_rational, parse_rational
+from .qcore import Rational, format_rational
 
 
 class CyclicCase(str, Enum):
@@ -81,9 +81,6 @@ class GeneratorSet:
     minimal: bool | None
     proper_part: tuple[int, ...]
     improper_part: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.bases)
 
     def flags(self) -> dict[str, bool | None]:
         return {
@@ -212,8 +209,3 @@ def generator_set_to_dict(B: GeneratorSet) -> dict:
         "bases": [format_rational(b) for b in B.bases],
         "flags": B.flags(),
     }
-
-
-def generator_set_from_dict(data: dict) -> GeneratorSet:
-    """Rebuild from the serialized form; flags are recomputed, not trusted."""
-    return build_generator_set(parse_rational(s) for s in data["bases"])

@@ -268,7 +268,7 @@ def test_criterion_8_unions_are_aaps():
     ok = True
     details = []
     for k in (2, 3, 4):
-        rep = union_of_lengths(k, B23, SearchCaps(4, 64), bound=40)
+        rep = union_of_lengths(k, B23, 4, bound=40)
         members = [v for v in rep.members if 1 <= v <= 40]
         witness = None
         for fuzz in range(0, 5):

@@ -62,6 +62,9 @@ def test_usage_errors_exit_1(capsys):
         ["factorize", "--bases", "2/3", "--x", "2", "--lenmax", "-1"],
         ["construct", "--kind", "nonatomic", "--nmax", "-1"],
         ["difftest", "--bases", "2/3", "--trials", "-1"],
+        ["unions", "--bases", "2/3", "--k", "2", "--lenmax", "8"],
+        ["construct", "--kind", "delta", "--emax", "2"],
+        ["construct", "--kind", "delta", "--lenmax", "8"],
     ):
         code, out, err = invoke(capsys, argv)
         assert code == 1, argv
@@ -257,6 +260,23 @@ def test_delta_sample_report(capsys):
     assert data["members"] + data["skipped"] == data["sample_size"]
     if data["exact"]:
         assert data["deltas"] == [1]
+
+
+@pytest.mark.parametrize(
+    "bases, emax", [("3/2,2/5", "1"), ("3/2", "0")], ids=["mixed", "improper"]
+)
+def test_sampled_delta_sets_are_the_single_element_delta_sets(capsys, bases, emax):
+    """Every sampled element reports the exact delta set of `delta --x`,
+    and the sampled union is the union of those sets."""
+    argv = ["delta", "--bases", bases, "--trials", "25", "--seed", "0", "--emax", emax, "--json"]
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["per_element"]
+    for entry in data["per_element"]:
+        _, one, _ = invoke(capsys, ["delta", "--bases", bases, "--x", entry["x"], "--json"])
+        assert entry["delta"] == json.loads(one)["delta"], entry["x"]
+    assert data["deltas"] == sorted({d for entry in data["per_element"] for d in entry["delta"]})
 
 
 def test_delta_single_element(capsys):

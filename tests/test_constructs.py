@@ -15,7 +15,6 @@ from multifrac.constructs import (
     validate_nonatomic_seed,
 )
 from multifrac.exceptions import BadLevel, BadSeed
-from multifrac.factorizer import SearchCaps
 from multifrac.monoid import build_generator_set
 
 
@@ -166,6 +165,6 @@ def test_realization_check_guards():
 
 
 def test_realization_check_respects_caps():
-    rep = delta_realization_check(1, 1, SearchCaps(4, 32))
+    rep = delta_realization_check(1, 1)
     assert rep.realized()
     assert rep.observed == (1,)

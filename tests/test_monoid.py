@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_canonical_set, random_factorization
+from conftest import random_factorization
 from multifrac.exceptions import (
     DuplicateBase,
     NotAGenerator,
@@ -25,8 +25,6 @@ from multifrac.monoid import (
     build_generator_set,
     canonical_atoms,
     classify_cyclic,
-    generator_set_from_dict,
-    generator_set_to_dict,
     proper_reduction,
 )
 
@@ -177,10 +175,3 @@ def test_proper_reduction():
     assert red.bases == (Fraction(4, 7), Fraction(2, 3))
     assert proper_reduction(red) == red
 
-
-def test_dict_round_trip_random_sets():
-    rng = random.Random(31)
-    for _ in range(40):
-        B = random_canonical_set(rng)
-        again = generator_set_from_dict(generator_set_to_dict(B))
-        assert again == B

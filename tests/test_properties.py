@@ -88,9 +88,6 @@ def short_elements(draw, B, atoms: int, e_top: int, cap: int):
     return x
 
 
-CAPS = st.one_of(st.none(), st.builds(SearchCaps, st.integers(0, 3), st.integers(0, 12)))
-
-
 def reference_factorizations(x, B, caps):
     """Every factorization of x under the caps, by a plain search over fractions.
 
@@ -204,25 +201,17 @@ def _largest_prime_exponent(n: int) -> int:
 @given(st.data(), improper_sets())
 def test_improper_lengths_equal_the_oracle(data, B):
     y = data.draw(elements(B, c_top=2, e_top=2, cap=24))
-    caps = data.draw(CAPS)
-    e_self, len_self = _exponent_bound(y, B.bases), int(y)
-    if caps is None:
-        oracle_caps = SearchCaps(e_self, len_self)
-    else:
-        oracle_caps = SearchCaps(min(e_self, caps.e_max), min(len_self, caps.len_max))
+    oracle_caps = SearchCaps(_exponent_bound(y, B.bases), int(y))
     found = {z.length for z in enumerate_factorizations(y, B, oracle_caps)}
-    assert improper_lengths(y, B, caps) == found
+    assert improper_lengths(y, B) == found
 
 
 @PROPERTY
 @given(st.data(), mixed_sets())
 def test_splitting_equals_brute_force(data, B):
     x = data.draw(elements(B, c_top=2, e_top=2, cap=9))
-    caps = data.draw(CAPS)
     B_imp, B_prop = improper_reduction(B), proper_reduction(B)
     e_cap = _exponent_bound(x, B_imp.bases)
-    if caps is not None:
-        e_cap = min(e_cap, caps.e_max)
     # Every sum <= x of improper powers with exponent <= e_cap and units.
     sums = {Fraction(0)}
     for a in [Fraction(1)] + [b**e for b in B_imp.bases for e in range(1, e_cap + 1)]:
@@ -233,7 +222,7 @@ def test_splitting_equals_brute_force(data, B):
         if solve_hub(x - y, B_prop) is not None
         and enumerate_factorizations(y, B_imp, SearchCaps(e_cap, int(y)))
     ]
-    assert list(improper_divisor_pairs(x, B, caps).pairs) == brute
+    assert list(improper_divisor_pairs(x, B).pairs) == brute
 
 
 @settings(PROPERTY, max_examples=80)
