@@ -15,15 +15,14 @@ its own verb alone and a cache hit loads no compute module.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__
 from .exceptions import MultifracError, ParseError
@@ -38,8 +37,7 @@ from .monoid import (
 from .qcore import format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One parsed invocation: verb, its parameters, and output wiring."""
 
     verb: str
@@ -463,12 +461,7 @@ def parse_command(argv=None) -> Command:
     args = build_parser().parse_args(argv)
     meta = {"verb", "json", "cache_dir"}
     params = {k: v for k, v in vars(args).items() if k not in meta}
-    return Command(
-        verb=args.verb,
-        params=params,
-        output="json" if args.json else "text",
-        cache_dir=args.cache_dir,
-    )
+    return Command(args.verb, params, "json" if args.json else "text", args.cache_dir)
 
 
 def _with_parsed_bases(params: dict) -> dict:
@@ -490,10 +483,13 @@ def run(cmd: Command) -> dict:
     parsed, and the package version.  An entry that cannot be read back
     counts as a miss and is rewritten; entries are written to a
     temporary file first and moved into place, so a reader never sees a
-    partial one.
+    partial one.  A cache directory that cannot be written is a usage
+    error, and no temporary file outlives it.
     """
     if not cmd.cache_dir:
         return _HANDLERS[cmd.verb](SimpleNamespace(**cmd.params))
+    import hashlib
+
     params = _with_parsed_bases(cmd.params)
     blob = json.dumps(
         {"verb": cmd.verb, "params": params, "version": __version__},
@@ -508,11 +504,16 @@ def run(cmd: Command) -> dict:
     if isinstance(cached, dict):
         return cached
     report = _HANDLERS[cmd.verb](SimpleNamespace(**params))
-    cache_file.parent.mkdir(parents=True, exist_ok=True)
     entry = {"manifest": {"verb": cmd.verb, "params": params}, "report": report}
     tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(entry, sort_keys=True, default=str))
-    os.replace(tmp, cache_file)
+    try:
+        cache_file.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps(entry, sort_keys=True, default=str))
+        os.replace(tmp, cache_file)
+    except OSError as exc:
+        if tmp.exists():
+            tmp.unlink()
+        raise ParseError(f"cache directory {cmd.cache_dir!r} is not writable: {exc}") from None
     return report
 
 

@@ -11,8 +11,8 @@ witness element built from that pair realizes the gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exceptions import BadLevel, BadSeed
 from .lengths import MapUnion, delta_of_length_set, length_set
@@ -21,8 +21,7 @@ from .monoid import GeneratorSet, build_generator_set
 from .qcore import Rational, format_rational, is_prime
 
 
-@dataclass(frozen=True)
-class PrimeSeed:
+class PrimeSeed(NamedTuple):
     """Primes feeding a construction, tagged with the rule they satisfy."""
 
     primes: tuple[int, ...]
@@ -87,8 +86,7 @@ def nonatomic_family(n: int, seed: PrimeSeed | None = None) -> GeneratorSet:
     return build_generator_set(bases)
 
 
-@dataclass(frozen=True)
-class NonatomicWitness:
+class NonatomicWitness(NamedTuple):
     """Exact identity splitting a generator power into higher powers.
 
     Certifies x = alpha * b0**N + beta * b1**N where x = b0**m and
@@ -209,8 +207,7 @@ def delta_realization_generators(d: int, K: int) -> GeneratorSet:
     return build_generator_set(bases)
 
 
-@dataclass(frozen=True)
-class DeltaRealizationReport:
+class DeltaRealizationReport(NamedTuple):
     """Observed against required delta values for one witness element.
 
     ``localized`` flags a heuristic sufficiency condition: every

@@ -20,9 +20,9 @@ deliberately independent so they can check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .exceptions import (
     BadIndex,
@@ -34,34 +34,38 @@ from .monoid import GeneratorSet
 from .qcore import Rational, format_rational
 
 
-@dataclass(frozen=True)
-class SearchCaps:
+class SearchCaps(NamedTuple):
     """Bounds for the brute-force enumeration: max term exponent and max length."""
 
     e_max: int = 4
     len_max: int = 64
 
 
-@dataclass(frozen=True, order=True)
-class Factorization:
+class _FactorizationFields(NamedTuple):
+    c0: int = 0
+    terms: tuple[tuple[int, int, int], ...] = ()
+
+
+class Factorization(_FactorizationFields):
     """Immutable formal combination of generator powers.
 
     ``terms`` holds (base_index, exponent, coefficient) triples, sorted,
     with exponent >= 1 and coefficient >= 1; ``c0`` is the unit-atom count.
+    Construction checks both.
     """
 
-    c0: int = 0
-    terms: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c0 < 0:
-            raise ValueError(f"c0 must be nonnegative, got {self.c0}")
-        keys = [(i, e) for (i, e, _) in self.terms]
+    def __new__(cls, c0: int = 0, terms: tuple[tuple[int, int, int], ...] = ()):
+        if c0 < 0:
+            raise ValueError(f"c0 must be nonnegative, got {c0}")
+        keys = [(i, e) for (i, e, _) in terms]
         if sorted(set(keys)) != keys:
             raise ValueError("terms must be sorted and slot-unique")
-        for i, e, c in self.terms:
+        for i, e, c in terms:
             if i < 0 or e < 1 or c < 1:
                 raise ValueError(f"bad term {(i, e, c)}")
+        return super().__new__(cls, c0, terms)
 
     @classmethod
     def from_terms(cls, c0: int, terms) -> "Factorization":
@@ -89,8 +93,7 @@ class Factorization:
         return max((e for (_, e, _) in self.terms), default=0)
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     """One application of the exchange identity, with multiplicity.
 
     direction "down" at exponent e >= 1 replaces m*d(b) copies of b**e by

@@ -26,10 +26,10 @@ explicit truncation bounds wherever the set itself is infinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .exceptions import (
     ImproperBase,
@@ -51,22 +51,26 @@ from .monoid import (
 from .qcore import Rational, format_rational
 
 
-@dataclass(frozen=True, order=True)
-class MapComponent:
+class _MapComponentFields(NamedTuple):
+    offset: int
+    steps: tuple[int, ...] = ()
+
+
+class MapComponent(_MapComponentFields):
     """offset + the monoid generated by ``steps``; every step is unbounded.
 
     No steps means the single length ``offset``.  Steps keep the order
     and multiplicity of the generators they come from.
     """
 
-    offset: int
-    steps: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.offset < 0:
+    def __new__(cls, offset: int, steps: tuple[int, ...] = ()):
+        if offset < 0:
             raise ValueError("offsets are lengths, hence nonnegative")
-        if any(d < 1 for d in self.steps):
-            raise ValueError(f"steps must be positive, got {self.steps}")
+        if any(d < 1 for d in steps):
+            raise ValueError(f"steps must be positive, got {steps}")
+        return super().__new__(cls, offset, steps)
 
     def contains(self, v: int) -> bool:
         """Membership by direct subset-sum over the steps."""
@@ -82,19 +86,23 @@ class MapComponent:
         return MapComponent(self.offset + delta, self.steps)
 
 
-@dataclass(frozen=True)
-class MapUnion:
+class _MapUnionFields(NamedTuple):
+    components: tuple[MapComponent, ...] = ()
+
+
+class MapUnion(_MapUnionFields):
     """Finite union of MapComponents describing one set of lengths.
 
     The constructor takes any iterable of components and keeps each one
     once, sorted by (offset, steps), so equal sets built along different
-    routes compare and serialize alike.
+    routes compare and serialize alike.  It is a tuple of its one field,
+    so ``len(mu)`` is 1; the components are ``mu.components``.
     """
 
-    components: tuple[MapComponent, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(sorted(set(self.components))))
+    def __new__(cls, components=()):
+        return super().__new__(cls, tuple(sorted(set(components))))
 
     @classmethod
     def from_values(cls, values) -> "MapUnion":
@@ -130,8 +138,7 @@ class MapUnion:
         }
 
 
-@dataclass(frozen=True)
-class HubWitnessSets:
+class HubWitnessSets(NamedTuple):
     """Which generators can fire upward chains out of a hub.
 
     ``V`` lists the generators already holding n(b) copies at some
@@ -329,8 +336,7 @@ def improper_lengths(y: Rational, B_imp: GeneratorSet) -> set[int]:
     return _ImproperSlots(y, B_imp).lengths(y)
 
 
-@dataclass(frozen=True)
-class ImproperDivisorReport:
+class ImproperDivisorReport(NamedTuple):
     """Splittings x = y + y' across the improper/proper divide.
 
     y runs over the submonoid spanned by the improper generators plus
@@ -492,8 +498,7 @@ def delta_sample(B: GeneratorSet, sample: list[Rational]) -> dict[Rational, set[
     return deltas
 
 
-@dataclass(frozen=True)
-class UnionReport:
+class UnionReport(NamedTuple):
     """Union of sets of lengths over all elements with a length-k factorization."""
 
     k: int
@@ -541,8 +546,7 @@ def union_of_lengths(
     )
 
 
-@dataclass(frozen=True)
-class AapDecomposition:
+class AapDecomposition(NamedTuple):
     """Witness that a finite set is an almost arithmetic progression.
 
     The set equals y + (s_prime | s_star | s_dprime) where s_prime sits
@@ -593,12 +597,5 @@ def aap_check(values, d: int, N: int) -> AapDecomposition | None:
             continue
         if any(r > top + N for r in s_dprime):
             continue
-        return AapDecomposition(
-            y=y,
-            d=d,
-            N=N,
-            s_prime=s_prime,
-            s_star=tuple(s_star),
-            s_dprime=s_dprime,
-        )
+        return AapDecomposition(y, d, N, s_prime, tuple(s_star), s_dprime)
     return None

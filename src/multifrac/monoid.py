@@ -15,7 +15,6 @@ flags the factorization machinery depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -31,8 +30,7 @@ class CyclicCase(str, Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class CyclicClassification:
+class CyclicClassification(NamedTuple):
     """Atomicity trichotomy for the monoid generated by powers of one rational."""
 
     base: Rational
@@ -58,9 +56,11 @@ def classify_cyclic(r: Rational) -> CyclicClassification:
     return CyclicClassification(r, CyclicCase.GENERIC, True, desc)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Validated, ascending tuple of generators plus structural flags.
+
+    Like every record in this package it is a tuple of its fields, so
+    ``len(B)`` counts fields; the number of generators is ``len(B.bases)``.
 
     ``proper_part``/``improper_part`` hold indices of the bases below/above
     1; a base equal to 1 is an integer and lands in neither.  ``minimal``

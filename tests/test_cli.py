@@ -41,7 +41,9 @@ def test_parse_command_cache_dir_env(monkeypatch, tmp_path):
     assert cmd.cache_dir == str(tmp_path)
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, tmp_path):
+    not_a_dir = tmp_path / "regular-file"
+    not_a_dir.write_text("")
     code, _, err = invoke(capsys, ["member", "--bases", "2/3"])
     assert code == 1
     assert "error[ParseError]" in err
@@ -65,11 +67,14 @@ def test_usage_errors_exit_1(capsys):
         ["unions", "--bases", "2/3", "--k", "2", "--lenmax", "8"],
         ["construct", "--kind", "delta", "--emax", "2"],
         ["construct", "--kind", "delta", "--lenmax", "8"],
+        ["member", "--bases", "2/3", "--x", "2/3", "--cache-dir", str(not_a_dir), "--json"],
+        ["member", "--bases", "2/3", "--x", "2/3", "--cache-dir", str(not_a_dir / "sub")],
     ):
         code, out, err = invoke(capsys, argv)
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error[ParseError]") and err.count("\n") == 1, err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_member_json_shape(capsys):
@@ -202,6 +207,30 @@ def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path, capsys):
     assert second == first
     assert entry.read_text() == whole
     assert list(tmp_path.iterdir()) == [entry]
+
+
+def test_unwritable_cache_is_a_usage_error_and_leaves_no_temporary_file(
+    tmp_path, capsys, monkeypatch
+):
+    not_a_dir = tmp_path / "regular-file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("MULTIFRAC_CACHE", str(not_a_dir / "sub"))
+    code, out, err = invoke(capsys, ["member", "--bases", "2/3", "--x", "2/3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ParseError]") and err.count("\n") == 1, err
+
+    # A directory in the place of the entry lets the temporary file be
+    # written but not moved into place.
+    cache = tmp_path / "cache"
+    argv = ["member", "--bases", "2/3", "--x", "2/3", "--cache-dir", str(cache)]
+    assert invoke(capsys, argv)[0] == 0
+    (entry,) = cache.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ParseError]") and err.count("\n") == 1, err
+    assert not list(cache.glob("*.tmp"))
 
 
 def test_domain_errors_exit_2(capsys):

@@ -8,23 +8,37 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import src_env
 
 COMPUTE = ("factorizer", "lengths", "constructs", "check")
 
-# Runs one CLI invocation with its output silenced, then prints the
-# multifrac modules the process loaded.
+# One cheap invocation of each verb.
+VERBS = {
+    "classify": ["classify", "--bases", "2/3,4/5"],
+    "atoms": ["atoms", "--bases", "2/3,4/5", "--emax", "2"],
+    "member": ["member", "--bases", "2/3,4/5", "--x", "22/15"],
+    "factorize": ["factorize", "--bases", "2/3", "--x", "2", "--emax", "3", "--lenmax", "8"],
+    "lengths": ["lengths", "--bases", "2/5", "--x", "2/1", "--cap", "20"],
+    "delta": ["delta", "--bases", "2/3,4/5", "--x", "2"],
+    "unions": ["unions", "--bases", "2/3", "--k", "2", "--emax", "2", "--cap", "10"],
+    "construct": ["construct", "--kind", "delta", "--d", "1", "--K", "1"],
+    "difftest": ["difftest", "--bases", "2/3", "--trials", "2", "--emax", "3", "--lenmax", "8"],
+}
+
+# Runs one CLI invocation with its output silenced, then prints every
+# module the process loaded.
 PROBE = """
 import contextlib, io, json, sys
 from multifrac.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     rc = main(sys.argv[1:])
-loaded = sorted(m[len("multifrac."):] for m in sys.modules if m.startswith("multifrac."))
-print(json.dumps({"rc": rc, "loaded": loaded}))
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
 
-def loaded_by(argv):
+def modules_loaded_by(argv):
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
         env=src_env(),
@@ -35,7 +49,22 @@ def loaded_by(argv):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["rc"] == 0, argv
-    return set(out["loaded"])
+    return set(out["modules"])
+
+
+def loaded_by(argv):
+    """The multifrac modules one invocation loads, without the package prefix."""
+    prefix = "multifrac."
+    return {m[len(prefix):] for m in modules_loaded_by(argv) if m.startswith(prefix)}
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_verb_skips_dataclasses_and_loads_hashlib_only_with_a_cache(verb, tmp_path):
+    plain = modules_loaded_by(VERBS[verb])
+    assert plain.isdisjoint({"dataclasses", "inspect", "hashlib"}), verb
+    cached = modules_loaded_by([*VERBS[verb], "--cache-dir", str(tmp_path)])
+    assert "hashlib" in cached
+    assert cached.isdisjoint({"dataclasses", "inspect"}), verb
 
 
 def test_classify_and_atoms_load_no_compute_module():

@@ -1,12 +1,13 @@
 """Property tests: the oracle, the hub solver, and the improper and mixed
-routes against the oracle.
+routes against the oracle, plus laws that need no oracle.
 
 Hypothesis draws small generator sets and elements.  The oracle
 `enumerate_factorizations` is compared with a plain search over
-fractions written here, and `solve_hub` with `hub_normalize`; every
-other property compares the structural code with the oracle (or a plain
-search written here) at caps under which the search provably sees every
-factorization it is compared on.
+fractions written here, and `solve_hub` with `hub_normalize`; the
+oracle properties compare the structural code with the oracle (or a
+plain search written here) at caps under which the search provably sees
+every factorization it is compared on.  The last tests check laws of
+every set of lengths, with no oracle, on elements too large for it.
 The runs are derandomized, so each test sees the same examples on every
 run.
 """
@@ -249,3 +250,84 @@ def test_mixed_length_set_equals_the_oracle_on_its_complete_window(data, B, e):
     e_oracle = max(e, _exponent_bound(x, B_imp.bases))
     found = {z.length for z in enumerate_factorizations(x, B, SearchCaps(e_oracle, window))}
     assert length_set(x, B).truncate(window) == sorted(found)
+
+
+# --------------------------------------------------------------------------
+# Laws that need no oracle.  A drawn factorization z of x is a sum of
+# |z| atoms, so |z| lies in L(x); two such sums add up to one of x + y.
+
+
+@st.composite
+def proper_sets(draw):
+    """A canonical set of one to three bases below 1 with small denominators."""
+    dens = []
+    for d in draw(st.permutations([3, 4, 5, 7, 11]))[: draw(st.integers(1, 3))]:
+        if all(gcd(d, other) == 1 for other in dens):
+            dens.append(d)
+    bases = []
+    for d in dens:
+        bases.append(Fraction(draw(st.integers(2, d - 1).filter(lambda n, d=d: gcd(n, d) == 1)), d))
+    return build_generator_set(bases)
+
+
+@st.composite
+def factorizations(draw, B, proper_top: int, improper_top: int, cap: int):
+    """A factorization at exponents 1 and 2 of a nonzero value at most ``cap``.
+
+    Coefficients of the bases above 1 go up to ``improper_top``, so a
+    large value makes the improper part of x large.
+    """
+    terms = {
+        (i, e): draw(st.integers(0, improper_top if b > 1 else proper_top))
+        for i, b in enumerate(B.bases)
+        for e in (1, 2)
+    }
+    z = Factorization.from_terms(draw(st.integers(0, 3)), terms)
+    assume(0 < evaluate(z, B) <= cap)
+    return z
+
+
+def _assert_sumset_law(B, z, w, window: int = 8):
+    """L(x) + L(y) lies in L(x + y), on the first ``window`` lengths past each minimum."""
+    x, y = evaluate(z, B), evaluate(w, B)
+    Lx, Ly, Lxy = length_set(x, B), length_set(y, B), length_set(x + y, B)
+    assert Lx.contains(z.length) and Ly.contains(w.length)
+    low_x = Lx.truncate(Lx.min_value() + window)
+    low_y = Ly.truncate(Ly.min_value() + window)
+    sums = {a + b for a in low_x for b in low_y} | {z.length + w.length}
+    missing = sums - set(Lxy.truncate(max(sums)))
+    assert not missing, (x, y, sorted(missing))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data(), proper_sets())
+def test_sumset_law_on_proper_sets(data, B):
+    z = data.draw(factorizations(B, proper_top=12, improper_top=0, cap=40))
+    w = data.draw(factorizations(B, proper_top=12, improper_top=0, cap=40))
+    _assert_sumset_law(B, z, w)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data(), improper_sets().filter(lambda B: B.is_canonical))
+def test_sumset_law_on_improper_sets(data, B):
+    z = data.draw(factorizations(B, proper_top=0, improper_top=4, cap=40))
+    w = data.draw(factorizations(B, proper_top=0, improper_top=4, cap=40))
+    _assert_sumset_law(B, z, w)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data(), mixed_sets())
+def test_sumset_law_on_mixed_sets(data, B):
+    z = data.draw(factorizations(B, proper_top=2, improper_top=4, cap=16))
+    w = data.draw(factorizations(B, proper_top=2, improper_top=4, cap=16))
+    _assert_sumset_law(B, z, w)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data(), proper_sets())
+def test_min_length_is_the_hub_length_on_proper_sets(data, B):
+    """Below 1 every downward exchange shortens, so the hub, reached
+    from z by `hub_normalize`, is the shortest factorization of x."""
+    z = data.draw(factorizations(B, proper_top=20, improper_top=0, cap=60))
+    mu = length_set(evaluate(z, B), B)
+    assert min(mu.truncate(z.length)) == hub_normalize(z, B)[0].length
