@@ -1,8 +1,8 @@
-"""Prime-seeded families with engineered factorization behavior.
+"""Generator families with engineered factorization behavior.
 
-Two constructions: a family whose monoid has no atoms at all, and
-families of proper-fraction pairs whose delta sets hit a prescribed
-arithmetic pattern.  Run me with: python3 demos/tour_constructions.py
+Two constructions: a prime-seeded family whose monoid has no atoms at
+all, and pairs of proper fractions whose monoids have a prescribed
+arithmetic progression as their set of distances.  Run me with: python3 demos/tour_constructions.py
 """
 
 from multifrac import (
@@ -27,26 +27,22 @@ def main() -> None:
     print("the shared denominator must exceed 2*3 + 1.")
     print()
 
-    print("Delta realization: level-k pairs with observed gaps d, 2d, ..., (2k-1)d")
+    print("Delta realization: two proper generators with upward steps d(k-1)")
+    print("and dk (for k = 1, one with step d) give the set of distances")
+    print("exactly {d, 2d, ..., kd}.")
     for d in (1, 2):
-        for k in (1, 2):
+        for k in (1, 2, 3):
             rep = delta_realization_check(d, k)
             gens = delta_realization_generators(d, k)
             print(f"  d={d}, k={k}: generators {[str(b) for b in gens.bases]}")
-            print(f"    witness x = {rep.x}, hub length {rep.hub.length}")
-            print(f"    observed deltas {list(rep.observed)}, "
-                  f"required {list(rep.required)}, realized: {rep.realized()}")
+            print(f"    delta {list(rep.delta)}, required {list(rep.required)}, "
+                  f"realized: {rep.realized()}")
+            print("    witnesses " + ", ".join(f"{v} at x = {x}" for v, x in rep.witnesses))
     print()
-    print("Each report also carries a truncation note: the first numerator")
-    print("beyond level k is compared against ceil(x) times the largest")
-    print("denominator in play.  Clearing that bound would certify that")
-    print("higher levels cannot touch the witness element; the stock")
-    print("examples do not clear it, so the flag stays False and the")
-    print("realized verdict rests on the levels actually included.")
-    rep = delta_realization_check(1, 1)
-    print(f"  d=1, k=1: next numerator {rep.next_numerator} "
-          f"vs bound {rep.localization_bound}, localized: {rep.localized}")
-
+    print("The delta set is exact: over proper generators the length set of")
+    print("x depends only on which generators the hub of x can fire and on")
+    print("how many units it holds, so finitely many hub shapes cover every")
+    print("element of the monoid.")
 
 if __name__ == "__main__":
     main()

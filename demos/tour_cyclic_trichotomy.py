@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from multifrac import (
     accp_obstruction,
-    atom_certificate,
     build_generator_set,
+    canonical_atoms,
     classify_cyclic,
 )
 
@@ -51,8 +51,8 @@ def main() -> None:
     canon = build_generator_set([Fraction(2, 3), Fraction(4, 5)])
     print(f"Canonical set {[str(b) for b in canon.bases]} "
           f"(no integers, coprime denominators):")
-    for b in canon.bases:
-        print(f"  every power of {b} certified atomic: {atom_certificate(b, canon)}")
+    print("  the atoms are exactly the generator powers and 1:")
+    print(f"  {[str(a.value) for a in canonical_atoms(canon, 2)]} up to exponent 2")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from multifrac import (
     enumerate_factorizations,
     evaluate,
     hub_normalize,
-    is_max_length,
+    length_set,
     rewrite_chain,
     solve_hub,
 )
@@ -40,7 +40,9 @@ def main() -> None:
     hub = solve_hub(x, B)
     print(f"solve_hub({x}) peels congruences one denominator at a time:")
     print(f"  hub = {pretty(hub, B)}  (length {hub.length})")
-    print(f"  max length certificate: {is_max_length(hub, B)}")
+    lengths = length_set(x, B)
+    print(f"  lengths {lengths.truncate(hub.length + 4)}, finite: {not lengths.is_infinite()},"
+          f" so the hub is a longest factorization")
     print()
 
     print("The same hub falls out of sweeping any factorization downward.")

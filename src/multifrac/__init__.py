@@ -26,13 +26,13 @@ _EXPORTS = {
     "enumerate_factorizations": "factorizer",
     "evaluate": "factorizer",
     "hub_normalize": "factorizer",
-    "is_max_length": "factorizer",
     "rewrite_chain": "factorizer",
     "solve_hub": "factorizer",
     "MapComponent": "lengths",
     "MapUnion": "lengths",
     "aap_check": "lengths",
     "delta_of_element": "lengths",
+    "delta_of_monoid": "lengths",
     "delta_sample": "lengths",
     "hub_witness_sets": "lengths",
     "improper_divisor_pairs": "lengths",
@@ -42,7 +42,6 @@ _EXPORTS = {
     "union_of_lengths": "lengths",
     "GeneratorSet": "monoid",
     "accp_obstruction": "monoid",
-    "atom_certificate": "monoid",
     "build_generator_set": "monoid",
     "canonical_atoms": "monoid",
     "classify_cyclic": "monoid",

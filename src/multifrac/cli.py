@@ -316,22 +316,15 @@ def cmd_unions(ns) -> dict:
 
 
 def cmd_construct(ns) -> dict:
-    from .constructs import (
-        PrimeSeed,
-        delta_realization_check,
-        nonatomic_family,
-        nonatomic_witness,
-    )
-    from .factorizer import factorization_to_dict
+    from .constructs import delta_realization_check, nonatomic_family, nonatomic_witness
 
     if ns.kind == "nonatomic":
         seed = None
         if ns.seed_primes:
             try:
-                primes = tuple(int(s) for s in ns.seed_primes.replace(",", " ").split())
+                seed = tuple(int(s) for s in ns.seed_primes.replace(",", " ").split())
             except ValueError:
                 raise ParseError(f"--seed-primes takes integers: {ns.seed_primes!r}") from None
-            seed = PrimeSeed(primes, "nonatomic-family")
         B = nonatomic_family(ns.n, seed)
         witness = nonatomic_witness(B, m=ns.m, N_max=ns.nmax)
         return {
@@ -341,25 +334,16 @@ def cmd_construct(ns) -> dict:
             "generators": generator_set_to_dict(B),
             "witness": witness.to_dict() if witness is not None else None,
         }
-    level = ns.K if ns.K is not None else ns.k
-    report = delta_realization_check(ns.d, level)
+    report = delta_realization_check(ns.d, ns.k)
     return {
         "command": "construct",
         "kind": "delta",
         "d": report.d,
         "k": report.k,
-        "K": report.K,
         "generators": generator_set_to_dict(report.generators),
-        "x": format_rational(report.x),
-        "hub": factorization_to_dict(report.hub, report.generators),
-        "length_set": report.lengths.to_dict(),
-        "observed": list(report.observed),
+        "delta": list(report.delta),
         "required": list(report.required),
-        "inclusion": report.inclusion,
-        "divisibility": report.divisibility,
-        "localized": report.localized,
-        "localization_bound": report.localization_bound,
-        "next_numerator": report.next_numerator,
+        "witnesses": [{"value": v, "x": format_rational(x)} for v, x in report.witnesses],
         "realized": report.realized(),
     }
 
@@ -430,15 +414,14 @@ def build_parser() -> _Parser:
     p.add_argument("--aap-d", type=int, help="also check the members form an AAP")
     p.add_argument("--aap-n", type=int, default=0, help="AAP fuzz bound")
 
-    p = sub.add_parser("construct", help="prime-seeded generator families")
+    p = sub.add_parser("construct", help="nonatomic and delta-realizing generator families")
     p.add_argument("--kind", choices=("nonatomic", "delta"), required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed-primes", help="comma-separated primes")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--nmax", type=_nonnegative_int, default=24)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--k", "--K", dest="k", type=int, default=1)
 
     p = sub.add_parser("difftest", help="cross-check search, hub and length machinery")
     _add_base_options(p)

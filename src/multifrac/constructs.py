@@ -1,31 +1,24 @@
-"""Prime-seeded generator families with prescribed factorization behavior.
+"""Generator families with prescribed factorization behavior.
 
-Two constructions live here.  The first produces sets whose generators
-share a denominator, which destroys atomicity: a generator decomposes
-into higher powers, certified by an exact identity over the integers.
-The second produces canonical sets of proper fractions whose delta sets
-are exactly {d, 2d, ..., (2K-1)d}: each level k contributes one pair of
-generators whose upward steps have sizes 2dk and (2k-1)d, and a short
-witness element built from that pair realizes the gaps.
+Two constructions live here.  The first, seeded by primes, produces
+sets whose generators share a denominator, which destroys atomicity: a
+generator decomposes into higher powers, certified by an exact identity
+over the integers.  The second produces canonical sets of at most two
+proper fractions whose monoids have the set of distances exactly
+{d, 2d, ..., kd}, checked by the exact Δ(M) of `lengths.delta_of_monoid`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import gcd
 from typing import NamedTuple
 
 from .exceptions import BadLevel, BadSeed
-from .lengths import MapUnion, delta_of_length_set, length_set
-from .factorizer import Factorization, solve_hub
+from .lengths import delta_of_monoid
 from .monoid import GeneratorSet, build_generator_set
 from .qcore import Rational, format_rational, is_prime
-
-
-class PrimeSeed(NamedTuple):
-    """Primes feeding a construction, tagged with the rule they satisfy."""
-
-    primes: tuple[int, ...]
-    constraint_tag: str
 
 
 def _next_prime(n: int) -> int:
@@ -36,7 +29,7 @@ def _next_prime(n: int) -> int:
     return candidate
 
 
-def default_nonatomic_seed(n: int) -> PrimeSeed:
+def default_nonatomic_seed(n: int) -> tuple[int, ...]:
     """Smallest prime chain usable for a nonatomic family of n generators."""
     if n < 2:
         raise BadLevel("the family needs at least two generators")
@@ -44,11 +37,10 @@ def default_nonatomic_seed(n: int) -> PrimeSeed:
     primes.append(_next_prime(primes[0] * primes[1] + 1))
     while len(primes) < n + 1:
         primes.append(_next_prime(primes[-1]))
-    return PrimeSeed(tuple(primes), "nonatomic-family")
+    return tuple(primes)
 
 
-def validate_nonatomic_seed(seed: PrimeSeed, n: int) -> None:
-    ps = seed.primes
+def validate_nonatomic_seed(ps: tuple[int, ...], n: int) -> None:
     if len(ps) != n + 1:
         raise BadSeed(f"need {n + 1} primes for {n} generators, got {len(ps)}")
     for p in ps:
@@ -66,7 +58,7 @@ def validate_nonatomic_seed(seed: PrimeSeed, n: int) -> None:
             raise BadSeed(f"primes {a}, {b} out of order")
 
 
-def nonatomic_family(n: int, seed: PrimeSeed | None = None) -> GeneratorSet:
+def nonatomic_family(n: int, seed: tuple[int, ...] | None = None) -> GeneratorSet:
     """Generator set with no atoms at all, despite avoiding unit fractions.
 
     The two lead generators p0/p2 and p1/p2 share the denominator p2, so
@@ -76,10 +68,8 @@ def nonatomic_family(n: int, seed: PrimeSeed | None = None) -> GeneratorSet:
     """
     if n < 2:
         raise BadLevel("the family needs at least two generators")
-    if seed is None:
-        seed = default_nonatomic_seed(n)
-    validate_nonatomic_seed(seed, n)
-    ps = seed.primes
+    ps = default_nonatomic_seed(n) if seed is None else seed
+    validate_nonatomic_seed(ps, n)
     bases = [Fraction(ps[0], ps[2]), Fraction(ps[1], ps[2])]
     for k in range(3, n + 1):
         bases.append(Fraction(ps[0] * ps[1], ps[k]))
@@ -161,130 +151,75 @@ def nonatomic_witness(
     return None
 
 
-def delta_realization_primes(d: int, K: int) -> PrimeSeed:
-    """Greedy prime choices for K generator pairs with target delta set.
+def delta_realization_generators(d: int, k: int) -> GeneratorSet:
+    """Proper generators whose monoid has Δ(M) = {d, 2d, ..., kd}.
 
-    For index n from 2 to 2K + 1, take the smallest prime exceeding both
-    the previous prime and d*n + 1, subject to a_n = p_n - d*n strictly
-    increasing, and at even n >= 4 additionally a_n > a_{n-1} + 2d.  The
-    last rule keeps the resulting numerators strictly increasing across
-    levels, so each level's witness element sits below the next level's
-    numerators.
+    For k >= 2 the two generators n1/(n1 + d(k-1)) and n2/(n2 + dk)
+    have upward steps d(b) - n(b) equal to d(k-1) and dk, numerators at
+    least 2 and coprime denominators; among such pairs the one with the
+    least n1 + n2 is taken, ties going to the least n1.  For k = 1 it is
+    the single generator n/(n + d) with the least n >= 2 coprime to d.
+
+    Why Δ(M) is {d, ..., kd}.  The set is canonical and proper, so
+    `length_set_proper` describes every L(x).  With one generator it is
+    |hub| + <d> or a single length, and x = n * b**1 has the former.
+    With two, a witness family W (see `delta_of_monoid`) gives the
+    semigroup of the steps in W, each a multiple of d, so every gap is a
+    multiple of d; divide by d and set a = k - 1.  A length set is then
+    a shift of a union of semigroups taken from {0}, <a>, <a + 1> and
+    <a, a + 1>, where the families are V | U for a fixed V:
+    - if both steps lie in one family, the union is <a, a + 1>, whose
+      members in [ja, j(a + 1)] are consecutive while the step from
+      j(a + 1) to (j + 1)a is a - j, so its gaps are 1, 2, ..., a;
+    - otherwise the union is {0}, <a>, <a + 1> or <a> | <a + 1>, and
+      the last has no gap above a, since <a> alone has none;
+    - so no gap exceeds a + 1 = k, and the gap k comes only from <a + 1>.
+    Both extremes occur: x = n1 * b1 + n2 * b2 holds both generators in
+    V, giving <a, a + 1> and the gaps 1, ..., a, and x = n2 * b2 with no
+    units gives <a + 1> alone and the gap k.
     """
     if d < 1:
         raise BadLevel("the difference d must be positive")
-    if K < 1:
-        raise BadLevel("at least one generator pair is needed")
-    primes: list[int] = []
-    a_prev = 0
-    for n in range(2, 2 * K + 2):
-        floor = max(primes[-1] if primes else 2, d * n + 1)
-        need = a_prev + 1
-        if n >= 4 and n % 2 == 0:
-            need = a_prev + 2 * d + 1
-        p = _next_prime(floor)
-        while p - d * n < need:
-            p = _next_prime(p)
-        primes.append(p)
-        a_prev = p - d * n
-    return PrimeSeed(tuple(primes), "delta-realization")
-
-
-def delta_realization_generators(d: int, K: int) -> GeneratorSet:
-    """Canonical set of K proper-fraction pairs realizing {d, ..., (2K-1)d}.
-
-    Level k (1-based) contributes (p - 2dk)/p at index 2k and
-    (q - 2dk + d)/q at index 2k + 1; their upward step sizes are 2dk and
-    (2k - 1)d.
-    """
-    seed = delta_realization_primes(d, K)
-    bases = []
-    for k in range(1, K + 1):
-        p = seed.primes[2 * k - 2]
-        q = seed.primes[2 * k - 1]
-        bases.append(Fraction(p - 2 * d * k, p))
-        bases.append(Fraction(q - 2 * d * k + d, q))
-    return build_generator_set(bases)
+    if k < 1:
+        raise BadLevel(f"the length k = {k} of the progression must be positive")
+    if k == 1:
+        n = next(n for n in count(2) if gcd(n, d) == 1)
+        return build_generator_set([Fraction(n, n + d)])
+    s1, s2 = d * (k - 1), d * k
+    for total in count(4):
+        for n1 in range(2, total - 1):
+            n2 = total - n1
+            if gcd(n1, s1) == gcd(n2, s2) == gcd(n1 + s1, n2 + s2) == 1:
+                return build_generator_set([Fraction(n1, n1 + s1), Fraction(n2, n2 + s2)])
 
 
 class DeltaRealizationReport(NamedTuple):
-    """Observed against required delta values for one witness element.
+    """The exact Δ(M) of a construction against the progression it targets.
 
-    ``localized`` flags a heuristic sufficiency condition: every
-    generator left out of the truncation has numerator above
-    ceil(x) times the largest denominator in play, so factorizations of
-    x cannot touch the missing levels and the truncated delta set equals
-    the full one.
+    ``witnesses`` pairs each value of ``delta`` with an element whose
+    length set has that gap.
     """
 
     d: int
     k: int
-    K: int
     generators: GeneratorSet
-    x: Rational
-    hub: Factorization
-    lengths: MapUnion
-    observed: tuple[int, ...]
+    delta: tuple[int, ...]
     required: tuple[int, ...]
-    inclusion: bool
-    divisibility: bool
-    localized: bool
-    localization_bound: int
-    next_numerator: int
+    witnesses: tuple[tuple[int, Rational], ...]
 
     def realized(self) -> bool:
-        return self.inclusion and self.divisibility
+        return self.delta == self.required
 
 
 def delta_realization_check(d: int, k: int) -> DeltaRealizationReport:
-    """Verify that level k's witness element realizes {d, 2d, ..., (2k-1)d}.
-
-    The witness is z = n(b)·b**2 + n(b')·b'**2 over level k's pair, whose
-    hub fires both generators and nothing else.  The generator set is
-    truncated at level k; ``localized`` reports whether the first
-    missing numerator clears the conservative bound ceil(x) * max
-    denominator, which certifies that the truncation computes the same
-    delta set as the untruncated family.
-    """
-    if k < 1:
-        raise BadLevel(f"level {k} is not positive")
-    K = k
-    B = delta_realization_generators(d, K)
-    extended = delta_realization_primes(d, K + 1)
-    seed = PrimeSeed(extended.primes[: 2 * K], extended.constraint_tag)
-    p = seed.primes[2 * k - 2]
-    q = seed.primes[2 * k - 1]
-    b_even = Fraction(p - 2 * d * k, p)
-    b_odd = Fraction(q - 2 * d * k + d, q)
-    # The generator set is sorted by value, so locate the pair explicitly.
-    i_even = B.bases.index(b_even)
-    i_odd = B.bases.index(b_odd)
-    z = Factorization.from_terms(
-        0, {(i_even, 2): b_even.numerator, (i_odd, 2): b_odd.numerator}
-    )
-    x = b_even.numerator * b_even**2 + b_odd.numerator * b_odd**2
-    hub = solve_hub(x, B)
-    assert hub == z, "the witness combination must already be the hub"
-    lengths = length_set(x, B)
-    observed = tuple(sorted(delta_of_length_set(lengths)))
-    required = tuple(d * i for i in range(1, 2 * k))
-    # First generator beyond the truncation: the even one of level K + 1,
-    # whose numerator is the smallest among all excluded levels.
-    next_num = extended.primes[2 * K] - 2 * d * (K + 1)
-    bound = -(-x.numerator // x.denominator) * max(b.denominator for b in B.bases)
+    """Compare Δ(M) of `delta_realization_generators(d, k)` with {d, ..., kd}."""
+    B = delta_realization_generators(d, k)
+    found = delta_of_monoid(B)
     return DeltaRealizationReport(
         d=d,
         k=k,
-        K=K,
         generators=B,
-        x=x,
-        hub=hub,
-        lengths=lengths,
-        observed=observed,
-        required=required,
-        inclusion=set(required) <= set(observed),
-        divisibility=all(v % d == 0 for v in observed),
-        localized=next_num > bound,
-        localization_bound=bound,
-        next_numerator=next_num,
+        delta=tuple(found),
+        required=tuple(d * i for i in range(1, k + 1)),
+        witnesses=tuple(found.items()),
     )

@@ -23,10 +23,6 @@ class DuplicateBase(MultifracError):
     code = "DuplicateBase"
 
 
-class NotAGenerator(MultifracError):
-    code = "NotAGenerator"
-
-
 class NotCanonical(MultifracError):
     code = "NotCanonical"
 
@@ -41,10 +37,6 @@ class ImproperBase(MultifracError):
 
 class ValueMismatch(MultifracError):
     code = "ValueMismatch"
-
-
-class NotHub(MultifracError):
-    code = "NotHub"
 
 
 class NotMember(MultifracError):

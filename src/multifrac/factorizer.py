@@ -27,7 +27,6 @@ from typing import NamedTuple
 from .exceptions import (
     BadIndex,
     NotCanonical,
-    NotHub,
     ValueMismatch,
 )
 from .monoid import GeneratorSet
@@ -370,30 +369,6 @@ def rewrite_chain(
         for s in reversed(down_b)
     )
     return down_a + inverted
-
-
-def is_max_length(z: Factorization, B: GeneratorSet) -> bool:
-    """Certificate that the hub z cannot be lengthened by any rewrite.
-
-    Valid input must already be a hub.  The test: every positive-exponent
-    coefficient stays below min(n(b), d(b)), and the unit count stays
-    below n(b) for every generator b < 1.  Under those bounds no upward
-    step (which needs n(b) copies somewhere) can fire, and downward steps
-    only shorten when they exist at all.
-    """
-    if not B.is_canonical:
-        raise NotCanonical("max-length certificate requires a canonical set")
-    _check_indices(z, B)
-    for i, e, c in z.terms:
-        if c >= B.bases[i].denominator:
-            raise NotHub(f"coefficient {c} at base {i} exponent {e} is not hub-reduced")
-    for i, _, c in z.terms:
-        if c >= min(B.bases[i].numerator, B.bases[i].denominator):
-            return False
-    for i in B.proper_part:
-        if z.c0 >= B.bases[i].numerator:
-            return False
-    return True
 
 
 def factorization_to_dict(z: Factorization, B: GeneratorSet) -> dict:

@@ -40,6 +40,7 @@ from .exceptions import (
 from .factorizer import (
     Factorization,
     SearchCaps,
+    evaluate,
     solve_hub,
 )
 from .monoid import (
@@ -466,6 +467,46 @@ def delta_of_length_set(mu: MapUnion) -> set[int]:
 
 def delta_of_element(x: Rational, B: GeneratorSet) -> set[int]:
     return delta_of_length_set(length_set(x, B))
+
+
+def delta_of_monoid(B: GeneratorSet) -> dict[int, Rational]:
+    """Exact Δ(M) of a canonical set of proper fractions, with witnesses.
+
+    Maps each distance, ascending, to an element whose length set has
+    that gap.  Δ(M) is the union of Δ(L(x)) over the nonzero x in M
+    (Geroldinger & Halter-Koch, *Non-Unique Factorizations*, 2006).
+
+    By `length_set_proper`, L(x) = |hub| + the union over the witness
+    families W of <d(b) - n(b) : b in W>, and a shift moves no gap, so
+    Δ(L(x)) depends on the families alone.  They are the unions V | U,
+    where V holds the generators with n(b) copies somewhere in the hub
+    and U runs over the subsets whose numerators sum to at most the unit
+    count c0; from c0 = sum n(b) on every subset qualifies, so the
+    families depend on V and min(c0, sum n(b)) and on nothing else.
+    Every such pair occurs: z = c0 + sum over V of n(b) * b**1 is a hub
+    (each coefficient n(b) stays below d(b)) with exactly that V and
+    c0.  These shapes, bar the zero one, therefore meet every family
+    that any element has, and the union of their delta sets is Δ(M).
+    Each shape is the witness of the distances it contributes first.
+    """
+    if not B.is_canonical:
+        raise NotCanonical("the shape reduction needs a canonical set")
+    if B.improper_part:
+        raise ImproperBase("the shape reduction covers proper fractions only")
+    nums = [b.numerator for b in B.bases]
+    seen = set()
+    witnesses: dict[int, Rational] = {}
+    for size in range(len(nums) + 1):
+        for V in combinations(range(len(nums)), size):
+            for c0 in range(sum(nums) + 1):
+                z = Factorization.from_terms(c0, {(i, 1): nums[i] for i in V})
+                family = hub_witness_sets(z, B).Wfamily
+                if z.length == 0 or family in seen:
+                    continue
+                seen.add(family)
+                for gap in delta_of_length_set(MapUnion(_proper_components(z, B))):
+                    witnesses.setdefault(gap, evaluate(z, B))
+    return dict(sorted(witnesses.items()))
 
 
 def is_single_difference(B: GeneratorSet) -> int | None:

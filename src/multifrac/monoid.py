@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .exceptions import DuplicateBase, NotAGenerator, NotCanonical, ZeroGenerator
+from .exceptions import DuplicateBase, NotCanonical, ZeroGenerator
 from .qcore import Rational, format_rational
 
 
@@ -142,22 +142,6 @@ def accp_obstruction(B: GeneratorSet) -> Rational | None:
     for i in B.proper_part:
         return B.bases[i]
     return None
-
-
-def atom_certificate(b0: Rational, B: GeneratorSet) -> bool:
-    """Sufficient condition for every power of b0 to be an atom.
-
-    Requires every generator to be a non-integer with numerator != 1 and
-    the denominator of b0 to be coprime to all other denominators.  The
-    condition is one-sided: False means "not certified", not "not an atom".
-    """
-    if b0 not in B.bases:
-        raise NotAGenerator(f"{b0} is not a generator of this set")
-    for b in B.bases:
-        if b.denominator == 1 or b.numerator == 1:
-            return False
-    d0 = b0.denominator
-    return all(gcd(d0, b.denominator) == 1 for b in B.bases if b != b0)
 
 
 class Atom(NamedTuple):

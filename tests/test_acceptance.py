@@ -255,8 +255,8 @@ def test_criterion_7_delta_realization_grid():
     for d in (1, 2):
         for k in (1, 2):
             rep = delta_realization_check(d, k)
-            ok = ok and rep.inclusion and rep.divisibility and rep.realized()
-            details.append(f"d={d},k={k}:{list(rep.observed)}")
+            ok = ok and rep.delta == rep.required and rep.realized()
+            details.append(f"d={d},k={k}:{list(rep.delta)}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120
     _line(7, ok, f"{'; '.join(details)}, {elapsed:.1f}s, budget 120s")

@@ -376,8 +376,20 @@ def test_construct_delta_cli(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["realized"] is True
-    assert data["observed"] == [2]
-    assert data["localized"] is False
+    assert data["delta"] == data["required"] == [2]
+    assert data["witnesses"] == [{"value": 2, "x": "3/1"}]
+
+
+def test_construct_delta_k_has_two_spellings(capsys, monkeypatch):
+    monkeypatch.delenv("MULTIFRAC_CACHE", raising=False)
+    outputs = []
+    for flag in ("--K", "--k"):
+        code, out, _ = invoke(capsys, ["construct", "--kind", "delta", "--d", "2", flag, "2", "--json"])
+        assert code == 0
+        outputs.append(out.encode())
+    assert outputs[0] == outputs[1]
+    data = json.loads(outputs[0])
+    assert data["delta"] == [2, 4] and data["realized"] is True
 
 
 def test_factorize_lists_and_counts(capsys):

@@ -9,7 +9,6 @@ from conftest import random_canonical_set, random_factorization
 from multifrac.exceptions import (
     BadIndex,
     NotCanonical,
-    NotHub,
     ValueMismatch,
 )
 from multifrac.factorizer import (
@@ -21,10 +20,10 @@ from multifrac.factorizer import (
     evaluate,
     factorization_to_dict,
     hub_normalize,
-    is_max_length,
     rewrite_chain,
     solve_hub,
 )
+from multifrac.lengths import length_set
 from multifrac.monoid import build_generator_set
 
 B23 = build_generator_set([Fraction(2, 3)])
@@ -228,17 +227,21 @@ def test_rewrite_chain_rejects_value_mismatch():
 
 
 def test_is_max_length():
+    """The hub is a longest factorization exactly when no upward chain can
+    fire, which the length set states: finite with maximum |hub|, or
+    infinite when the hub can grow."""
     hub = solve_hub(Fraction(22, 15), B2345)
-    assert is_max_length(hub, B2345)
+    lengths = length_set(Fraction(22, 15), B2345)
+    assert not lengths.is_infinite()
+    assert max(lengths.truncate(hub.length + 8)) == hub.length
 
-    growing = solve_hub(Fraction(4, 3), B23)
-    assert not is_max_length(growing, B23)
-
-    with pytest.raises(NotHub):
-        is_max_length(Factorization.from_terms(0, {(0, 1): 3}), B23)
+    assert length_set(Fraction(4, 3), B23).is_infinite()
 
     improper = build_generator_set([Fraction(5, 2)])
-    assert is_max_length(solve_hub(Fraction(5), improper), improper)
+    hub = solve_hub(Fraction(5), improper)
+    lengths = length_set(Fraction(5), improper)
+    assert not lengths.is_infinite()
+    assert max(lengths.truncate(hub.length + 8)) == hub.length
 
 
 def test_factorization_dict_round_trip():

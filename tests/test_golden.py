@@ -19,7 +19,7 @@ COMMANDS = {
     "delta": "delta --bases 2/3,4/5 --trials 25 --seed 7",
     "unions": "unions --bases 2/3 --k 3 --cap 40 --aap-d 1",
     "construct_nonatomic": "construct --kind nonatomic --n 2",
-    "construct_delta": "construct --kind delta --d 2 --K 2",
+    "construct_delta": "construct --kind delta --d 2 --k 2",
     "difftest": "difftest --bases 2/3,4/5 --trials 50 --seed 42",
     "lengths_mixed": "lengths --bases 3/2,2/5 --x 7/1 --cap 30",
     "delta_x": "delta --bases 2/3,4/5 --x 4/1",

@@ -8,7 +8,6 @@ import pytest
 from conftest import random_factorization
 from multifrac.exceptions import (
     DuplicateBase,
-    NotAGenerator,
     NotCanonical,
     ZeroGenerator,
 )
@@ -21,7 +20,6 @@ from multifrac.factorizer import (
 from multifrac.monoid import (
     CyclicCase,
     accp_obstruction,
-    atom_certificate,
     build_generator_set,
     canonical_atoms,
     classify_cyclic,
@@ -115,18 +113,6 @@ def test_accp_obstruction_picks_smallest_proper_base():
     B = build_generator_set([Fraction(5, 2), Fraction(2, 3), Fraction(3, 7)])
     assert accp_obstruction(B) == Fraction(3, 7)
     assert accp_obstruction(build_generator_set([Fraction(5, 2)])) is None
-
-
-def test_atom_certificate():
-    B = build_generator_set([Fraction(2, 3), Fraction(4, 5)])
-    assert atom_certificate(Fraction(2, 3), B)
-    assert atom_certificate(Fraction(4, 5), B)
-
-    with_unit = build_generator_set([Fraction(1, 2), Fraction(2, 3)])
-    assert not atom_certificate(Fraction(2, 3), with_unit)
-
-    with pytest.raises(NotAGenerator):
-        atom_certificate(Fraction(7, 9), B)
 
 
 def test_canonical_atoms_layout():

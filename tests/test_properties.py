@@ -26,7 +26,14 @@ from multifrac.factorizer import (
     hub_normalize,
     solve_hub,
 )
-from multifrac.lengths import improper_divisor_pairs, improper_lengths, length_set
+from multifrac.lengths import (
+    delta_of_element,
+    delta_of_monoid,
+    delta_sample,
+    improper_divisor_pairs,
+    improper_lengths,
+    length_set,
+)
 from multifrac.monoid import build_generator_set, improper_reduction, proper_reduction
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -331,3 +338,31 @@ def test_min_length_is_the_hub_length_on_proper_sets(data, B):
     z = data.draw(factorizations(B, proper_top=20, improper_top=0, cap=60))
     mu = length_set(evaluate(z, B), B)
     assert min(mu.truncate(z.length)) == hub_normalize(z, B)[0].length
+
+
+@st.composite
+def two_generator_proper_sets(draw):
+    """Two bases below 1 with coprime denominators and steps d(b) - n(b) <= 12."""
+    bases = []
+    for _ in range(2):
+        n = draw(st.integers(2, 9))
+        step = draw(st.integers(1, 12).filter(lambda s, n=n: gcd(n, s) == 1))
+        bases.append(Fraction(n, n + step))
+    assume(gcd(bases[0].denominator, bases[1].denominator) == 1)
+    return build_generator_set(bases)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data(), two_generator_proper_sets())
+def test_delta_of_monoid_holds_every_sampled_delta(data, B):
+    """Δ(M) bounds the delta set of every element, and each of its
+    witnesses has the gap it stands for."""
+    exact = delta_of_monoid(B)
+    for v, x in exact.items():
+        assert v in delta_of_element(x, B)
+    sample = [
+        evaluate(data.draw(factorizations(B, proper_top=12, improper_top=0, cap=40)), B)
+        for _ in range(4)
+    ]
+    for x, deltas in delta_sample(B, sample).items():
+        assert deltas <= exact.keys(), (x, sorted(deltas), sorted(exact))
