@@ -17,8 +17,8 @@ from multifrac import (
     length_set,
     solve_hub,
     union_of_lengths,
+    witness_families,
 )
-from multifrac.lengths import hub_witness_sets
 
 
 def main() -> None:
@@ -38,9 +38,8 @@ def main() -> None:
 
     B = build_generator_set([Fraction(2, 3), Fraction(4, 5)])
     hub = solve_hub(Fraction(4), B)
-    w = hub_witness_sets(hub, B)
     print(f"Witness families for x = 4 over {[str(b) for b in B.bases]}:")
-    print(f"  hub = {hub.c0} units, firing sets: {[list(f) for f in w.Wfamily]}")
+    print(f"  hub = {hub.c0} units, firing sets: {witness_families(hub, B)}")
     print(f"  four units can kick off either generator (2 units buy a 2/3")
     print(f"  chain, 4 units buy a 4/5 chain), but not both at once.")
     print(f"  L(4) truncated: {length_set(Fraction(4), B).truncate(12)} ...")

@@ -28,17 +28,16 @@ _EXPORTS = {
     "hub_normalize": "factorizer",
     "rewrite_chain": "factorizer",
     "solve_hub": "factorizer",
+    "witness_families": "factorizer",
     "MapComponent": "lengths",
     "MapUnion": "lengths",
     "aap_check": "lengths",
     "delta_of_element": "lengths",
     "delta_of_monoid": "lengths",
     "delta_sample": "lengths",
-    "hub_witness_sets": "lengths",
     "improper_divisor_pairs": "lengths",
     "is_single_difference": "lengths",
     "length_set": "lengths",
-    "length_set_proper": "lengths",
     "union_of_lengths": "lengths",
     "GeneratorSet": "monoid",
     "accp_obstruction": "monoid",

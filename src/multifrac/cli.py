@@ -147,13 +147,20 @@ def cmd_member(ns) -> dict:
     }
 
 
-def _enumeration_complete(B: GeneratorSet, hub, caps, infinite: bool) -> bool:
-    """Whether the bounded search provably saw every factorization in range."""
+def _enumeration_complete(B: GeneratorSet, hub, caps) -> bool:
+    """Whether the bounded search provably saw every factorization in range.
+
+    Over proper fractions L(x) is infinite exactly when the hub has a
+    nonempty witness family, and then the search must reach len_max.
+    """
+    from .factorizer import witness_families
+
     if hub is None:
         return False
     if B.proper_part and B.improper_part:
         return False
     if not B.improper_part:
+        infinite = witness_families(hub, B) != ((),)
         slack = caps.len_max - hub.length if infinite else 0
         e_req = hub.max_exponent() + max(0, slack)
     else:
@@ -163,7 +170,6 @@ def _enumeration_complete(B: GeneratorSet, hub, caps, infinite: bool) -> bool:
 
 def cmd_factorize(ns) -> dict:
     from .factorizer import enumerate_factorizations, factorization_to_dict, solve_hub
-    from .lengths import length_set
 
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
@@ -171,9 +177,6 @@ def cmd_factorize(ns) -> dict:
     hub = solve_hub(x, B) if B.is_canonical else None
     found = enumerate_factorizations(x, B, caps)
     lengths = sorted({z.length for z in found})
-    infinite = False
-    if hub is not None and x != 0:
-        infinite = length_set(x, B).is_infinite()
     listed = found[: ns.limit]
     return {
         "command": "factorize",
@@ -183,19 +186,14 @@ def cmd_factorize(ns) -> dict:
         "hub": factorization_to_dict(hub, B) if hub is not None else None,
         "count": len(found),
         "lengths": lengths,
-        "complete": _enumeration_complete(B, hub, caps, infinite),
+        "complete": _enumeration_complete(B, hub, caps),
         "factorizations": [factorization_to_dict(z, B) for z in listed],
     }
 
 
 def cmd_lengths(ns) -> dict:
-    from .factorizer import factorization_to_dict
-    from .lengths import (
-        _length_set_parts,
-        delta_of_length_set,
-        hub_witness_sets,
-        is_single_difference,
-    )
+    from .factorizer import factorization_to_dict, witness_families
+    from .lengths import _length_set_parts, delta_of_length_set, is_single_difference
 
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
@@ -214,8 +212,7 @@ def cmd_lengths(ns) -> dict:
         "single_difference": is_single_difference(B),
     }
     if not B.improper_part:
-        witness = hub_witness_sets(hub, B)
-        report["families"] = [list(f) for f in witness.Wfamily]
+        report["families"] = [list(f) for f in witness_families(hub, B)]
     elif splitting is not None:
         d = splitting.to_dict()
         report["splittings"] = {
@@ -295,7 +292,7 @@ def cmd_unions(ns) -> dict:
         "emax": ns.emax,
         "members": list(report.members),
         "elasticity": "inf" if report.elasticity is None else report.elasticity,
-        "complete": report.complete,
+        "complete": False,
         "element_count": report.element_count,
     }
     if ns.aap_d is not None:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .exceptions import BadLevel, BadSeed
 from .lengths import delta_of_monoid
 from .monoid import GeneratorSet, build_generator_set
-from .qcore import Rational, format_rational, is_prime
+from .qcore import PRIME_TEST_BOUND, Rational, format_rational, is_prime
 
 
 def _next_prime(n: int) -> int:
@@ -44,6 +44,8 @@ def validate_nonatomic_seed(ps: tuple[int, ...], n: int) -> None:
     if len(ps) != n + 1:
         raise BadSeed(f"need {n + 1} primes for {n} generators, got {len(ps)}")
     for p in ps:
+        if p >= PRIME_TEST_BOUND:
+            raise BadSeed(f"{p} is too large: seed primes stay below {PRIME_TEST_BOUND}")
         if not is_prime(p):
             raise BadSeed(f"{p} is not prime")
     if not ps[0] < ps[1]:
@@ -161,9 +163,9 @@ def delta_realization_generators(d: int, k: int) -> GeneratorSet:
     the single generator n/(n + d) with the least n >= 2 coprime to d.
 
     Why Δ(M) is {d, ..., kd}.  The set is canonical and proper, so
-    `length_set_proper` describes every L(x).  With one generator it is
+    `length_set` describes every L(x).  With one generator it is
     |hub| + <d> or a single length, and x = n * b**1 has the former.
-    With two, a witness family W (see `delta_of_monoid`) gives the
+    With two, a witness family W (see `witness_families`) gives the
     semigroup of the steps in W, each a multiple of d, so every gap is a
     multiple of d; divide by d and set a = k - 1.  A length set is then
     a shift of a union of semigroups taken from {0}, <a>, <a + 1> and

@@ -21,6 +21,7 @@ deliberately independent so they can check each other.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -78,12 +79,6 @@ class Factorization(_FactorizationFields):
     @property
     def length(self) -> int:
         return self.c0 + sum(c for (_, _, c) in self.terms)
-
-    def coefficient(self, base_index: int, exponent: int) -> int:
-        for i, e, c in self.terms:
-            if (i, e) == (base_index, exponent):
-                return c
-        return 0
 
     def as_mapping(self) -> dict[tuple[int, int], int]:
         return {(i, e): c for (i, e, c) in self.terms}
@@ -244,6 +239,27 @@ def solve_hub(x: Rational, B: GeneratorSet) -> Factorization | None:
     if residue < 0:
         return None
     return Factorization.from_terms(int(residue), terms)
+
+
+def witness_families(hub: Factorization, B: GeneratorSet) -> tuple[tuple[int, ...], ...]:
+    """Which generators can fire upward chains out of a hub, family by family.
+
+    Returns the sorted distinct unions V | U of base indices.  V lists
+    the generators already holding n(b) copies at some exponent of the
+    hub.  U runs over the index subsets whose combined kick-off cost, the
+    sum of their numerators, fits inside the unit count c0; the empty
+    subset always qualifies.  Each family supports independent unbounded
+    chains, one per generator in it, and an upward exchange of b adds
+    d(b) - n(b) to the length.  Over a canonical set of proper fractions
+    every factorization of the hub's value x reaches the hub by downward
+    rewrites, so L(x) is |hub| plus the union over the families W of
+    <d(b) - n(b) : b in W>: it is infinite unless the families are ((),).
+    """
+    nums = [b.numerator for b in B.bases]
+    v = {i for (i, _, c) in hub.terms if c >= nums[i]}
+    subsets = (u for k in range(len(nums) + 1) for u in combinations(range(len(nums)), k))
+    funded = (u for u in subsets if sum(nums[i] for i in u) <= hub.c0)
+    return tuple(sorted({tuple(sorted(v.union(u))) for u in funded}))
 
 
 def enumerate_factorizations(

@@ -42,6 +42,7 @@ from .factorizer import (
     SearchCaps,
     evaluate,
     solve_hub,
+    witness_families,
 )
 from .monoid import (
     GeneratorSet,
@@ -127,9 +128,6 @@ class MapUnion(_MapUnionFields):
         """Sorted members in [0, bound]."""
         return [v for v in range(bound + 1) if self.contains(v)]
 
-    def shifted(self, delta: int) -> "MapUnion":
-        return MapUnion(c.shifted(delta) for c in self.components)
-
     def to_dict(self) -> dict:
         return {
             "components": [
@@ -139,56 +137,10 @@ class MapUnion(_MapUnionFields):
         }
 
 
-class HubWitnessSets(NamedTuple):
-    """Which generators can fire upward chains out of a hub.
-
-    ``V`` lists the generators already holding n(b) copies at some
-    exponent.  ``Ufamily`` lists the index subsets whose combined
-    kick-off cost fits inside the unit count c0; the empty subset always
-    qualifies.  ``Wfamily`` is the deduplicated list of unions V | U;
-    each member set supports independent unbounded chains, one per
-    generator in it.
-    """
-
-    hub: Factorization
-    V: tuple[int, ...]
-    Ufamily: tuple[tuple[int, ...], ...]
-    Wfamily: tuple[tuple[int, ...], ...]
-
-
-def hub_witness_sets(z: Factorization, B: GeneratorSet) -> HubWitnessSets:
-    v = tuple(sorted({i for (i, _, c) in z.terms if c >= B.bases[i].numerator}))
-    indices = range(len(B.bases))
-    u_family = [
-        combo
-        for size in range(len(B.bases) + 1)
-        for combo in combinations(indices, size)
-        if sum(B.bases[i].numerator for i in combo) <= z.c0
-    ]
-    w_family = {tuple(sorted(set(v) | set(u))) for u in u_family}
-    return HubWitnessSets(z, v, tuple(u_family), tuple(sorted(w_family)))
-
-
-def _proper_components(hub: Factorization, B: GeneratorSet) -> list[MapComponent]:
-    """One component |hub| + <d(b) - n(b) : b in W> per witness family W."""
+def _proper_components(offset: int, families, B: GeneratorSet) -> list[MapComponent]:
+    """One component offset + <d(b) - n(b) : b in W> per witness family W."""
     steps = [b.denominator - b.numerator for b in B.bases]
-    return [
-        MapComponent(hub.length, tuple(steps[i] for i in fam))
-        for fam in hub_witness_sets(hub, B).Wfamily
-    ]
-
-
-def length_set_proper(x: Rational, B: GeneratorSet) -> MapUnion:
-    """Exact L(x) for a canonical set of proper fractions.
-
-    Every factorization of x reaches the hub by downward rewrites, and
-    from the hub the reachable lengths are |hub| plus the monoid
-    generated by the steps d(b) - n(b) of the generators in one witness
-    family: one component per family.
-    """
-    if B.is_canonical and B.improper_part:
-        raise ImproperBase("this route covers proper fractions only")
-    return _length_set_parts(x, B)[1]
+    return [MapComponent(offset, tuple(steps[i] for i in fam)) for fam in families]
 
 
 def _improper_value_caps(y: Rational, B_imp: GeneratorSet) -> SearchCaps:
@@ -402,14 +354,13 @@ def improper_divisor_pairs(x: Rational, B: GeneratorSet) -> ImproperDivisorRepor
 def length_set(x: Rational, B: GeneratorSet) -> MapUnion:
     """Exact L(x) for any canonical generator set.
 
-    Dispatches on the proper/improper makeup: all-proper uses the hub
-    witness description, all-improper the complete integer search of
-    `improper_lengths`, and a mixed set unions shifted proper-side sets
-    over all splittings.  Every route is complete: the improper-side
-    searches bound themselves by x.
+    Dispatches on the proper/improper makeup.  All-proper: one component
+    |hub| + <d(b) - n(b) : b in W> per witness family W of the hub (see
+    `witness_families` for why).  All-improper: the complete integer
+    search of `improper_lengths`.  Mixed: the union of shifted
+    proper-side sets over all splittings.  Every route is complete: the
+    improper-side searches bound themselves by x.
     """
-    if not B.improper_part:
-        return length_set_proper(x, B)
     return _length_set_parts(x, B)[1]
 
 
@@ -430,7 +381,7 @@ def _length_set_parts(
     if hub is None:
         raise NotMember(f"{x} is not in the monoid")
     if not B.improper_part:
-        return hub, MapUnion(_proper_components(hub, B)), None
+        return hub, MapUnion(_proper_components(hub.length, witness_families(hub, B), B)), None
 
     B_imp = improper_reduction(B)
     if not B.proper_part:
@@ -441,7 +392,7 @@ def _length_set_parts(
     split = slots.splitting(B_prop)
     comps = []
     for y, hub_yp in split:
-        prop = _proper_components(hub_yp, B_prop)
+        prop = _proper_components(hub_yp.length, witness_families(hub_yp, B_prop), B_prop)
         comps.extend(c.shifted(n) for n in slots.lengths(y) for c in prop)
     return hub, MapUnion(comps), _divisor_report(slots, split)
 
@@ -476,18 +427,16 @@ def delta_of_monoid(B: GeneratorSet) -> dict[int, Rational]:
     that gap.  Δ(M) is the union of Δ(L(x)) over the nonzero x in M
     (Geroldinger & Halter-Koch, *Non-Unique Factorizations*, 2006).
 
-    By `length_set_proper`, L(x) = |hub| + the union over the witness
-    families W of <d(b) - n(b) : b in W>, and a shift moves no gap, so
-    Δ(L(x)) depends on the families alone.  They are the unions V | U,
-    where V holds the generators with n(b) copies somewhere in the hub
-    and U runs over the subsets whose numerators sum to at most the unit
-    count c0; from c0 = sum n(b) on every subset qualifies, so the
-    families depend on V and min(c0, sum n(b)) and on nothing else.
-    Every such pair occurs: z = c0 + sum over V of n(b) * b**1 is a hub
-    (each coefficient n(b) stays below d(b)) with exactly that V and
-    c0.  These shapes, bar the zero one, therefore meet every family
-    that any element has, and the union of their delta sets is Δ(M).
-    Each shape is the witness of the distances it contributes first.
+    By `length_set`, L(x) = |hub| + the union over the witness families
+    W of <d(b) - n(b) : b in W>, and a shift moves no gap, so Δ(L(x))
+    depends on the families alone.  By `witness_families` they are the
+    unions V | U, and from c0 = sum n(b) on every subset U qualifies, so
+    they depend on V and min(c0, sum n(b)) and on nothing else.  Every
+    such pair occurs: z = c0 + sum over V of n(b) * b**1 is a hub (each
+    coefficient n(b) stays below d(b)) with exactly that V and c0.
+    These shapes, bar the zero one, therefore meet every family that any
+    element has, and the union of their delta sets is Δ(M).  Each shape
+    is the witness of the distances it contributes first.
     """
     if not B.is_canonical:
         raise NotCanonical("the shape reduction needs a canonical set")
@@ -500,11 +449,12 @@ def delta_of_monoid(B: GeneratorSet) -> dict[int, Rational]:
         for V in combinations(range(len(nums)), size):
             for c0 in range(sum(nums) + 1):
                 z = Factorization.from_terms(c0, {(i, 1): nums[i] for i in V})
-                family = hub_witness_sets(z, B).Wfamily
-                if z.length == 0 or family in seen:
+                families = witness_families(z, B)
+                if z.length == 0 or families in seen:
                     continue
-                seen.add(family)
-                for gap in delta_of_length_set(MapUnion(_proper_components(z, B))):
+                seen.add(families)
+                components = _proper_components(z.length, families, B)
+                for gap in delta_of_length_set(MapUnion(components)):
                     witnesses.setdefault(gap, evaluate(z, B))
     return dict(sorted(witnesses.items()))
 
@@ -546,7 +496,6 @@ class UnionReport(NamedTuple):
     bound: int
     members: tuple[int, ...]
     elasticity: int | None
-    complete: bool
     element_count: int
 
 
@@ -557,10 +506,10 @@ def union_of_lengths(
 
     Elements with a k-atom factorization are generated as k-multisets of
     atoms with exponent <= e_max, deduplicated by value; the set of
-    lengths of each is exact.  When some
-    contributing set of lengths is unbounded the elasticity is reported
-    as None (infinite) and that conclusion is exact; the member list is
-    only as complete as the exponent cap, so ``complete`` stays False.
+    lengths of each is exact.  When some contributing set of lengths is
+    unbounded the elasticity is reported as None (infinite) and that
+    conclusion is exact; the member list is only as complete as the
+    exponent cap, so it is never reported complete.
     """
     if k <= 0:
         raise ZeroLength("unions of sets of lengths start at k = 1")
@@ -582,7 +531,6 @@ def union_of_lengths(
         bound=bound,
         members=members,
         elasticity=elasticity,
-        complete=False,
         element_count=len(values),
     )
 

@@ -49,7 +49,6 @@ from multifrac.lengths import (
     aap_check,
     delta_of_element,
     length_set,
-    length_set_proper,
     union_of_lengths,
 )
 from multifrac.monoid import (
@@ -146,7 +145,7 @@ def test_criterion_3_structural_vs_brute_window():
             if hub is None:
                 continue
             pairs += 1
-            mu = length_set_proper(x, B)
+            mu = length_set(x, B)
             structural = mu.truncate(window)
             t_safe = min(window, hub.length + caps.e_max - hub.max_exponent())
             e_full = max(caps.e_max, window - hub.length + hub.max_exponent())

@@ -369,6 +369,38 @@ def test_construct_nonatomic_cli(capsys):
     assert data["witness"]["beta"] == 2
 
 
+def test_construct_with_a_nineteen_digit_seed_prime_returns_quickly():
+    """The seed primes are checked by Miller-Rabin, not by trial division
+    up to the square root of 10^18 + 3."""
+    env = src_env()
+    env.pop("MULTIFRAC_CACHE", None)
+    argv = ["construct", "--kind", "nonatomic", "--n", "2",
+            "--seed-primes", "2,3,1000000000000000003", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "multifrac.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["generators"]["bases"] == ["2/1000000000000000003", "3/1000000000000000003"]
+    assert data["witness"] is not None
+
+
+def test_construct_rejects_a_seed_beyond_the_prime_test(capsys, monkeypatch):
+    monkeypatch.delenv("MULTIFRAC_CACHE", raising=False)
+    too_big = 3_317_044_064_679_887_385_961_981
+    code, out, err = invoke(
+        capsys,
+        ["construct", "--kind", "nonatomic", "--seed-primes", f"2,3,{too_big}", "--json"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error[BadSeed]: ")
+
+
 def test_construct_delta_cli(capsys):
     code, out, _ = invoke(
         capsys, ["construct", "--kind", "delta", "--d", "2", "--K", "1", "--json"]

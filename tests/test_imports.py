@@ -82,6 +82,18 @@ def test_member_loads_only_the_hub_solver():
     assert loaded.isdisjoint({"lengths", "constructs", "check"})
 
 
+def test_factorize_loads_no_length_module():
+    """`complete` needs only the witness families of the hub, not L(x)."""
+    for argv in (
+        VERBS["factorize"],
+        ["factorize", "--bases", "2/3,4/5", "--x", "4", "--emax", "2", "--lenmax", "6"],
+        ["factorize", "--bases", "3/2,2/5", "--x", "2", "--emax", "2", "--lenmax", "6"],
+    ):
+        loaded = loaded_by(argv)
+        assert "factorizer" in loaded
+        assert loaded.isdisjoint({"lengths", "constructs", "check"}), argv
+
+
 def test_warm_cache_hit_loads_no_length_module(tmp_path):
     argv = ["lengths", "--bases", "2/5", "--x", "2/1", "--cap", "20", "--cache-dir", str(tmp_path)]
     assert "lengths" in loaded_by(argv)

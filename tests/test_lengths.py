@@ -6,17 +6,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_canonical_set, random_factorization
-from multifrac.exceptions import ImproperBase, NotCanonical, NotMember, ZeroLength
+from multifrac.exceptions import NotCanonical, NotMember, ZeroLength
 from multifrac.factorizer import (
     SearchCaps,
     enumerate_factorizations,
     evaluate,
     hub_normalize,
     solve_hub,
+    witness_families,
 )
 from multifrac.lengths import (
     AapDecomposition,
-    HubWitnessSets,
     MapComponent,
     MapUnion,
     aap_check,
@@ -24,12 +24,10 @@ from multifrac.lengths import (
     delta_of_length_set,
     delta_sample,
     delta_truncation_bound,
-    hub_witness_sets,
     improper_divisor_pairs,
     improper_lengths,
     is_single_difference,
     length_set,
-    length_set_proper,
     union_of_lengths,
 )
 from multifrac.monoid import build_generator_set
@@ -91,8 +89,8 @@ def test_union_merge_deduplicates():
 
 
 def test_union_shift():
-    mu = MapUnion((MapComponent(1, (2,)),))
-    assert mu.shifted(3).truncate(10) == [4, 6, 8, 10]
+    mu = MapUnion(c.shifted(3) for c in (MapComponent(1, (2,)),))
+    assert mu.truncate(10) == [4, 6, 8, 10]
 
 
 def test_union_dict_round_trip():
@@ -109,51 +107,54 @@ def test_union_dict_round_trip():
 # ----------------------------------------------------------- witness families
 
 
+def _v(hub, B):
+    """Indices of the generators holding at least n(b) copies at some exponent."""
+    return {i for (i, _, c) in hub.terms if c >= B.bases[i].numerator}
+
+
 def test_witness_sets_unfireable_hub():
     hub = solve_hub(Fraction(22, 15), B2345)
-    w = hub_witness_sets(hub, B2345)
-    assert w.V == ()
-    assert w.Ufamily == ((),)
-    assert w.Wfamily == ((),)
+    assert _v(hub, B2345) == set()
+    assert witness_families(hub, B2345) == ((),)
 
 
 def test_witness_sets_unit_funded_hub():
-    w = hub_witness_sets(solve_hub(Fraction(4), B2345), B2345)
-    assert w.V == ()
-    assert w.Ufamily == ((), (0,), (1,))
-    assert w.Wfamily == ((), (0,), (1,))
+    hub = solve_hub(Fraction(4), B2345)
+    assert _v(hub, B2345) == set()
+    assert witness_families(hub, B2345) == ((), (0,), (1,))
 
 
 def test_witness_families_always_include_empty_set():
+    """The empty U always qualifies, so V is a family and every family holds V."""
     rng = random.Random(5)
     for _ in range(40):
         B = random_canonical_set(rng, proper_only=True)
         hub, _ = hub_normalize(random_factorization(rng, B), B)
-        w = hub_witness_sets(hub, B)
-        assert () in w.Ufamily
-        for fam in w.Wfamily:
-            assert set(w.V) <= set(fam)
+        v = _v(hub, B)
+        families = witness_families(hub, B)
+        assert tuple(sorted(v)) in families
+        for fam in families:
+            assert v <= set(fam)
+        assert list(families) == sorted(set(families))
 
 
 # --------------------------------------------------------- proper length sets
 
 
 def test_proper_length_set_frozen_examples():
-    assert length_set_proper(Fraction(2), B23).truncate(10) == list(range(2, 11))
-    assert length_set_proper(Fraction(2), B25).truncate(11) == [2, 5, 8, 11]
-    assert length_set_proper(Fraction(22, 15), B2345).truncate(20) == [2]
-    assert length_set_proper(Fraction(4), B2345).truncate(12) == list(range(4, 13))
+    assert length_set(Fraction(2), B23).truncate(10) == list(range(2, 11))
+    assert length_set(Fraction(2), B25).truncate(11) == [2, 5, 8, 11]
+    assert length_set(Fraction(22, 15), B2345).truncate(20) == [2]
+    assert length_set(Fraction(4), B2345).truncate(12) == list(range(4, 13))
 
 
 def test_proper_length_set_guards():
     with pytest.raises(NotCanonical):
-        length_set_proper(Fraction(2), build_generator_set([Fraction(2, 3), Fraction(5, 6)]))
-    with pytest.raises(ImproperBase):
-        length_set_proper(Fraction(2), MIXED)
+        length_set(Fraction(2), build_generator_set([Fraction(2, 3), Fraction(5, 6)]))
     with pytest.raises(NotMember):
-        length_set_proper(Fraction(0), B23)
+        length_set(Fraction(0), B23)
     with pytest.raises(NotMember):
-        length_set_proper(Fraction(1, 3), B23)
+        length_set(Fraction(1, 3), B23)
 
 
 def test_structural_set_matches_full_window_enumeration():
@@ -162,7 +163,7 @@ def test_structural_set_matches_full_window_enumeration():
     wide = SearchCaps(18, 20)
     for B, x in [(B23, Fraction(2)), (B2345, Fraction(2)), (B25, Fraction(2))]:
         brute = sorted({z.length for z in enumerate_factorizations(x, B, wide)})
-        assert brute == length_set_proper(x, B).truncate(20)
+        assert brute == length_set(x, B).truncate(20)
 
 
 def test_structural_set_matches_enumeration_inside_safe_window():
@@ -180,7 +181,7 @@ def test_structural_set_matches_enumeration_inside_safe_window():
         hub = solve_hub(x, B)
         safe = min(caps.len_max, hub.length + caps.e_max - hub.max_exponent())
         brute = {w.length for w in enumerate_factorizations(x, B, caps)}
-        structural = length_set_proper(x, B)
+        structural = length_set(x, B)
         assert sorted(v for v in brute if v <= safe) == structural.truncate(safe)
         checked += 1
 
@@ -235,9 +236,6 @@ def test_mixed_length_set_frozen():
 
 
 def test_length_set_dispatch_agrees_with_special_routes():
-    assert length_set(Fraction(2), B23).truncate(10) == length_set_proper(
-        Fraction(2), B23
-    ).truncate(10)
     assert set(length_set(Fraction(5), HEREDITARY).truncate(10)) == improper_lengths(
         Fraction(5), HEREDITARY
     )
@@ -265,7 +263,7 @@ def test_delta_frozen_examples():
 
 
 def test_delta_truncation_bound_frozen():
-    mu = length_set_proper(Fraction(2), B25)
+    mu = length_set(Fraction(2), B25)
     assert delta_truncation_bound(mu) == 8
     assert delta_truncation_bound(MapUnion()) == 0
 
@@ -281,7 +279,7 @@ def test_delta_stable_under_horizon_doubling():
         x = evaluate(z, B)
         if x == 0:
             continue
-        mu = length_set_proper(x, B)
+        mu = length_set(x, B)
         T = delta_truncation_bound(mu)
         near = mu.truncate(T)
         far = mu.truncate(2 * T)
@@ -369,7 +367,6 @@ def test_union_of_lengths_frozen_atomic_case():
     assert rep.members == (1,)
     assert rep.elasticity == 1
     assert rep.element_count == 5
-    assert not rep.complete
 
 
 def test_union_of_lengths_frozen_infinite_case():

@@ -25,6 +25,7 @@ from multifrac.factorizer import (
     evaluate,
     hub_normalize,
     solve_hub,
+    witness_families,
 )
 from multifrac.lengths import (
     delta_of_element,
@@ -338,6 +339,15 @@ def test_min_length_is_the_hub_length_on_proper_sets(data, B):
     z = data.draw(factorizations(B, proper_top=20, improper_top=0, cap=60))
     mu = length_set(evaluate(z, B), B)
     assert min(mu.truncate(z.length)) == hub_normalize(z, B)[0].length
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data(), proper_sets())
+def test_nonempty_witness_family_means_an_infinite_length_set(data, B):
+    """The test `factorize` runs for `complete` agrees with L(x)."""
+    x = evaluate(data.draw(factorizations(B, proper_top=20, improper_top=0, cap=60)), B)
+    infinite = witness_families(solve_hub(x, B), B) != ((),)
+    assert length_set(x, B).is_infinite() == infinite
 
 
 @st.composite
