@@ -398,16 +398,51 @@ def _length_set_parts(
 
 
 def delta_truncation_bound(mu: MapUnion) -> int:
-    """Scan horizon past which an infinite MapUnion repeats its gaps.
+    """Scan horizon T + 2P: the gaps of mu on [0, T + 2P] are all its gaps.
 
-    Beyond every offset, each component is an eventually periodic set
-    with period dividing the lcm of its steps; two extra periods cover
-    both the settling range and one full cycle of gaps.
+    The settling point T.  Take an infinite component o + <s> and let
+    g = gcd(s).  The steps s/g generate a numerical semigroup whose
+    Frobenius number is at most (a - 1)(b - 1) - 1, a and b its least
+    and largest generators (Schur's bound, proved by Brauer, Amer. J.
+    Math. 1942; Rosales & Garcia-Sanchez, *Numerical Semigroups*, 2009,
+    ch. 1).  So o + g*n lies in the component for every n >= (a - 1)(b - 1),
+    and from o + g(a - 1)(b - 1) on the component is exactly the residue
+    class o mod g.  A finite component is the single point o.  T is the
+    largest of these points, so every integer above T that lies in mu
+    lies in one of the classes, and every member of a class above T
+    lies in mu.
+
+    The period P.  Above T, mu is the union of the classes (g, o mod g)
+    of its infinite components.  A class (g, r) lies inside (h, q) when
+    h divides g and r = q (mod h), so dropping every class that another
+    one contains leaves the same union; P is the lcm of the moduli of
+    the classes that remain.
+
+    Why T + 2P is enough.  If mu is finite, every member is at most T.
+    Otherwise, above T mu is periodic with period P, and every P
+    consecutive integers above T hold a member, since every class
+    modulus divides P.  A gap a < b between consecutive members with
+    a <= T then has b <= T + P.  A gap with a > T moves down by a
+    multiple of P to one with T < a <= T + P, and then b <= a + P <= T + 2P.
+    Either way the gap shows up with both ends in [0, T + 2P].
     """
     if mu.is_empty():
         return 0
-    top_offset = max(c.offset for c in mu.components)
-    return top_offset + 2 * lcm(*(d for c in mu.components for d in c.steps))
+    settle = 0
+    classes = set()
+    for c in mu.components:
+        if not c.steps:
+            settle = max(settle, c.offset)
+            continue
+        g = gcd(*c.steps)
+        a, b = min(c.steps) // g, max(c.steps) // g
+        settle = max(settle, c.offset + g * (a - 1) * (b - 1))
+        classes.add((g, c.offset % g))
+    period = lcm(*(
+        g for g, r in classes
+        if not any((h, q) != (g, r) and g % h == 0 and (r - q) % h == 0 for h, q in classes)
+    ))
+    return settle + 2 * period
 
 
 def delta_of_length_set(mu: MapUnion) -> set[int]:
@@ -508,8 +543,10 @@ def union_of_lengths(
     atoms with exponent <= e_max, deduplicated by value; the set of
     lengths of each is exact.  When some contributing set of lengths is
     unbounded the elasticity is reported as None (infinite) and that
-    conclusion is exact; the member list is only as complete as the
-    exponent cap, so it is never reported complete.
+    conclusion is exact.  Otherwise it is the longest length of any
+    pooled element, the largest offset of its set, so ``bound`` clips
+    the members but never the elasticity.  The member list is only as
+    complete as the exponent cap, so it is never reported complete.
     """
     if k <= 0:
         raise ZeroLength("unions of sets of lengths start at k = 1")
@@ -520,12 +557,14 @@ def union_of_lengths(
               for combo in combinations_with_replacement(atoms, k)}
     union: set[int] = set()
     infinite = False
+    longest = 0
     for x in sorted(values):
         mu = length_set(x, B)
         infinite = infinite or mu.is_infinite()
+        longest = max(longest, max(c.offset for c in mu.components))
         union.update(mu.truncate(bound))
     members = tuple(sorted(union))
-    elasticity = None if infinite else (max(members) if members else 0)
+    elasticity = None if infinite else longest
     return UnionReport(
         k=k,
         bound=bound,

@@ -108,6 +108,24 @@ def test_member_over_a_product_of_two_large_primes_returns_quickly():
     assert data["hub"] == {"c0": 0, "terms": [{"base": base, "exp": 1, "coeff": 1}]}
 
 
+@pytest.mark.parametrize("verb", ["lengths", "delta"])
+def test_four_generator_delta_scan_returns_quickly(verb):
+    """The steps 37, 40, 42 and 46 have gcd 1, so the union settles into
+    one class past Schur's bound, far below the lcm of the steps."""
+    env = src_env()
+    env.pop("MULTIFRAC_CACHE", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "multifrac.cli", verb,
+         "--bases", "2/39,3/43,5/47,7/53", "--x", "20", "--json"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["delta"] == [1, 2, 3, 4, 10, 19, 28, 37]
+
+
 def test_member_false_is_not_an_error(capsys):
     code, out, _ = invoke(capsys, ["member", "--bases", "2/3", "--x", "1/3", "--json"])
     assert code == 0
@@ -314,6 +332,17 @@ def test_delta_single_element(capsys):
     data = json.loads(out)
     assert data["delta"] == [3]
     assert data["scan_bound"] == 8
+
+
+def test_finite_unions_elasticity_does_not_depend_on_cap(capsys):
+    reports = []
+    for cap in ("2", "64"):
+        argv = ["unions", "--bases", "3/2", "--k", "3", "--cap", cap, "--json"]
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["elasticity"] == reports[1]["elasticity"] == 13
+    assert reports[0]["members"] == [2]
 
 
 def test_unions_with_aap_check(capsys):

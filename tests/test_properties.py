@@ -7,7 +7,8 @@ fractions written here, and `solve_hub` with `hub_normalize`; the
 oracle properties compare the structural code with the oracle (or a
 plain search written here) at caps under which the search provably sees
 every factorization it is compared on.  The last tests check laws of
-every set of lengths, with no oracle, on elements too large for it.
+every set of lengths, with no oracle, on elements too large for it, and
+the delta-scan horizon against a plain member sieve.
 The runs are derandomized, so each test sees the same examples on every
 run.
 """
@@ -28,9 +29,13 @@ from multifrac.factorizer import (
     witness_families,
 )
 from multifrac.lengths import (
+    MapComponent,
+    MapUnion,
     delta_of_element,
+    delta_of_length_set,
     delta_of_monoid,
     delta_sample,
+    delta_truncation_bound,
     improper_divisor_pairs,
     improper_lengths,
     length_set,
@@ -376,3 +381,66 @@ def test_delta_of_monoid_holds_every_sampled_delta(data, B):
     ]
     for x, deltas in delta_sample(B, sample).items():
         assert deltas <= exact.keys(), (x, sorted(deltas), sorted(exact))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.data(), mixed_sets())
+def test_submonoid_lengths_lie_in_the_full_length_set(data, B):
+    """A factorization over the proper or the improper side of B is one
+    over B, so L_B'(x) lies inside L_B(x) for either side B'."""
+    for side, proper_top, improper_top in (
+        (proper_reduction(B), 12, 0),
+        (improper_reduction(B), 0, 4),
+    ):
+        z = data.draw(factorizations(side, proper_top, improper_top, cap=16))
+        x = evaluate(z, side)
+        L_side, L_full = length_set(x, side), length_set(x, B)
+        assert L_side.contains(z.length)
+        low = L_side.truncate(L_side.min_value() + 8)
+        assert [v for v in low if not L_full.contains(v)] == [], (x, low)
+
+
+# --------------------------------------------------------------------------
+# The delta-scan horizon against a member sieve that knows nothing of it.
+
+
+@st.composite
+def map_unions(draw):
+    """One to three components, offsets at most 30, up to four steps at most 12.
+
+    The steps of a component are multiples of a drawn g, so that the
+    gcds, and with them the period, are often above 1.  A component
+    with no steps is the single point at its offset.
+    """
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.integers(1, 6))
+        steps = draw(st.lists(st.integers(1, 12 // g), max_size=4))
+        components.append(MapComponent(draw(st.integers(0, 30)), tuple(g * m for m in steps)))
+    return MapUnion(components)
+
+
+def _sieved_members(mu, top: int) -> list[int]:
+    """Members of mu in [0, top], each component closed under its steps by a sieve."""
+    seen = bytearray(top + 1)
+    for c in mu.components:
+        reach = bytearray(top + 1)
+        reach[c.offset] = 1
+        for v in range(c.offset, top + 1):
+            if reach[v]:
+                seen[v] = 1
+                for d in c.steps:
+                    if v + d <= top:
+                        reach[v + d] = 1
+    return [v for v in range(top + 1) if seen[v]]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(map_unions())
+def test_delta_horizon_sees_every_gap_of_a_wider_sieve(mu):
+    """The gaps up to T + 2P are the gaps up to twice that plus two lcms
+    of every step, where every settling bound and period has long passed."""
+    steps = [d for c in mu.components for d in c.steps]
+    top = 2 * delta_truncation_bound(mu) + 2 * lcm(*steps)
+    members = _sieved_members(mu, top)
+    assert delta_of_length_set(mu) == {b - a for a, b in zip(members, members[1:])}
