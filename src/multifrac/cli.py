@@ -192,12 +192,13 @@ def cmd_factorize(ns) -> dict:
 
 
 def cmd_lengths(ns) -> dict:
-    from .factorizer import factorization_to_dict, witness_families
+    from .factorizer import factorization_to_dict, solve_hub, witness_families
     from .lengths import _length_set_parts, delta_of_length_set, is_single_difference
 
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
-    hub, mu, splitting = _length_set_parts(x, B)
+    mu, splitting = _length_set_parts(x, B)
+    hub = solve_hub(x, B)
     report = {
         "command": "lengths",
         "bases": [format_rational(b) for b in B.bases],
@@ -213,7 +214,7 @@ def cmd_lengths(ns) -> dict:
     }
     if not B.improper_part:
         report["families"] = [list(f) for f in witness_families(hub, B)]
-    elif splitting is not None:
+    elif B.proper_part:
         d = splitting.to_dict()
         report["splittings"] = {
             "pairs": d["pairs"],
@@ -460,7 +461,9 @@ def run(cmd: Command) -> dict:
     """Dispatch one command to its verb handler, through the cache if set.
 
     The cache key covers the verb, the parameters with the bases as
-    parsed, and the package version.  An entry that cannot be read back
+    parsed, the package version and a digest of the package's own
+    source files, so a report written by other code is never served,
+    even under the same version.  An entry that cannot be read back
     counts as a miss and is rewritten; entries are written to a
     temporary file first and moved into place, so a reader never sees a
     partial one.  A cache directory that cannot be written is a usage
@@ -471,8 +474,11 @@ def run(cmd: Command) -> dict:
     import hashlib
 
     params = _with_parsed_bases(cmd.params)
+    source = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source.update(path.name.encode() + b"\0" + path.read_bytes())
     blob = json.dumps(
-        {"verb": cmd.verb, "params": params, "version": __version__},
+        {"verb": cmd.verb, "params": params, "version": __version__, "source": source.hexdigest()},
         sort_keys=True,
         default=str,
     )

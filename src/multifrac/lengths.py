@@ -13,11 +13,11 @@ d(b) - n(b) (Rosales & Garcia-Sanchez, *Numerical Semigroups*, 2009,
 ch. 1, up to the gcd of the steps).  Improper generators contribute
 only finitely many lengths per value, found by a complete search on
 integers (every value scaled by a power of the improper denominators).
-A mixed set splits every factorization across the proper/improper
-divide, x = y + y', so L(x) becomes a finite union of the improper
-lengths of y plus shifted proper-side length sets of y'; one pass over
-the improper powers yields the candidate values y, and each gets one
-hub solve on the proper side.
+Every factorization splits across the proper/improper divide,
+x = y + y', so L(x) is a finite union of the improper lengths of y plus
+shifted proper-side length sets of y'; one pass over the improper
+powers yields the candidate values y with their improper lengths, and
+each gets one hub solve on the proper side.
 
 Derived invariants (delta sets, unions of sets of lengths, almost
 arithmetic progressions) are computed from these descriptions with
@@ -47,7 +47,6 @@ from .factorizer import (
 from .monoid import (
     GeneratorSet,
     canonical_atoms,
-    improper_reduction,
     proper_reduction,
 )
 from .qcore import Rational, format_rational
@@ -84,9 +83,6 @@ class MapComponent(_MapComponentFields):
     def is_infinite(self) -> bool:
         return bool(self.steps)
 
-    def shifted(self, delta: int) -> "MapComponent":
-        return MapComponent(self.offset + delta, self.steps)
-
 
 class _MapUnionFields(NamedTuple):
     components: tuple[MapComponent, ...] = ()
@@ -105,10 +101,6 @@ class MapUnion(_MapUnionFields):
 
     def __new__(cls, components=()):
         return super().__new__(cls, tuple(sorted(set(components))))
-
-    @classmethod
-    def from_values(cls, values) -> "MapUnion":
-        return cls(MapComponent(v) for v in values)
 
     def contains(self, v: int) -> bool:
         return any(c.contains(v) for c in self.components)
@@ -143,14 +135,14 @@ def _proper_components(offset: int, families, B: GeneratorSet) -> list[MapCompon
     return [MapComponent(offset, tuple(steps[i] for i in fam)) for fam in families]
 
 
-def _improper_value_caps(y: Rational, B_imp: GeneratorSet) -> SearchCaps:
-    """Self-derived complete search bounds over improper generators.
+def _improper_value_caps(y: Rational, bases) -> SearchCaps:
+    """Self-derived complete search bounds over the improper ``bases``.
 
     Every atom power exceeds 1, so a factorization of y has length at
     most floor(y), and a power b**e can only appear while b**e <= y.
     """
     e_self = 0
-    for b in B_imp.bases:
+    for b in bases:
         e = 0
         while b ** (e + 1) <= y:
             e += 1
@@ -159,103 +151,98 @@ def _improper_value_caps(y: Rational, B_imp: GeneratorSet) -> SearchCaps:
 
 
 class _ImproperSlots:
-    """The improper atoms of value at most x, scaled to integers.
+    """The improper lengths of every value y <= x that a splitting of x can use.
 
-    ``caps`` are the bounds self-derived from x (`_improper_value_caps`).
-    With E = caps.e_max, every power b**e with e <= E has a denominator
-    dividing ``scale`` = prod d(b)**E, so all values here are multiplied
-    by ``scale``.  The slots are the powers b**e <= x, base by base with
-    the highest exponent first, then the unit atom 1, which exists only
-    when there is an improper generator.
+    Only the bases of B above 1 take part, and the lengths need no
+    canonical set; the splitting does.
 
-    Slot k carries g_k, the gcd of its value and of every later slot's
-    value.  For a slot of value v, a count c leaves a remainder
-    divisible by g_(k+1) exactly when c * v = rem (mod g_(k+1)), which
-    pins c to one residue class modulo g_(k+1) / g_k; both searches step
-    through that class only.  The memo of `lengths` lives as long as
-    this object, that is one call of the public function that built it.
+    A complete search on integers.  Every improper atom is at least 1,
+    so a factorization of y <= x uses only powers b**e <= x and has at
+    most floor(x) atoms; ``caps`` records these bounds
+    (`_improper_value_caps`).  Every power b**e <= x has a denominator
+    dividing D = ``scale`` = prod d(b)**E, E = caps.e_max, so every
+    value is multiplied by D and the question stays exact on ints.  The
+    slots are the powers b**e <= x, base by base with the highest
+    exponent first; the unit atom 1 scales to D.
+
+    The target class.  A splitting x = y + y' needs y' in the proper-side
+    monoid, whose denominators are coprime to D on a canonical set.  So
+    Y = D * y must be congruent modulo D to r = D * x, its denominator
+    inverted modulo D, and no y exists when that denominator shares a
+    prime with D.  For y = x, as `improper_lengths` asks, r is Y mod D.
+
+    The pass.  One walk over the power slots keeps every partial sum at
+    most D * x together with the set of slot counts that reach it; two
+    routes to one sum merge their counts.  Slot k tries every count that
+    keeps the sum in range, with one prune: the later slots and the unit
+    only ever add multiples of g, the gcd of their values (D among
+    them), so a partial sum s not congruent to r modulo g can never end
+    in the class of r, and dropping it loses no factorization.  It is
+    the oracle's ``suffix_den`` check read on integers.  With h the gcd
+    of g and the slot value v, h divides r - s by the previous slot's
+    prune, and s + c * v = r (mod g) pins c to one residue class modulo
+    g / h, which the pass steps through.  After the last power slot
+    every surviving sum lies in the class of r and carries the counts
+    of all its factorizations into powers alone.
+
+    The sweep.  A factorization of Y either uses no unit or is one of
+    Y - D plus a unit, so lengths(Y) = (lengths(Y - D) + 1) | counts(Y).
+    Walking the class upward from its least surviving sum to D * x
+    gives ``lengths``, each candidate y mapped to its improper lengths,
+    in increasing y.  Without an improper generator there is no improper
+    atom, and the one candidate is y = 0 with the length 0.  The pass
+    shares nothing with `enumerate_factorizations`, against which the
+    tests check it.
     """
 
-    def __init__(self, x: Rational, B_imp: GeneratorSet):
+    def __init__(self, x: Rational, B: GeneratorSet):
+        bases = [B.bases[i] for i in B.improper_part]
         self.x = Fraction(x)
-        self.caps = _improper_value_caps(x, B_imp)
+        self.caps = _improper_value_caps(x, bases)
         e_top = self.caps.e_max
-        self.scale = 1
-        for b in B_imp.bases:
-            self.scale *= b.denominator**e_top
-        top = self.x * self.scale
-        self.top = top.numerator // top.denominator
+        scale = 1
+        for b in bases:
+            scale *= b.denominator**e_top
+        self.scale = scale
+        self.lengths: dict[Fraction, set[int]] = {}
+        target = self.x * scale
+        if gcd(target.denominator, scale) != 1:
+            return
+        top = target.numerator // target.denominator
+        r = target.numerator * pow(target.denominator, -1, scale) % scale
         values = [
-            b.numerator**e * (self.scale // b.denominator**e)
-            for b in B_imp.bases
+            b.numerator**e * (scale // b.denominator**e)
+            for b in bases
             for e in range(e_top, 0, -1)
         ]
-        values = [v for v in values if v <= self.top]
-        if B_imp.bases:
-            values.append(self.scale)
-        # (value, g_k, modulus of c, inverse of value / g_k); None marks the unit.
-        self.slots: list[tuple[int, int, int | None, int]] = []
-        g_next = 0
+        values = [v for v in values if v <= top]
+        # gcds[k]: the gcd of slot k, every later slot and the unit.
+        gcds = [scale]
         for v in reversed(values):
-            g = gcd(v, g_next)
-            if g_next:
-                step = g_next // g
-                self.slots.append((v, g, step, pow(v // g, -1, step)))
-            else:
-                self.slots.append((v, g, None, 0))
-            g_next = g
-        self.slots.reverse()
-        self._memo: dict[tuple[int, int], frozenset[int]] = {}
-
-    def lengths(self, y: Rational) -> set[int]:
-        """Lengths of the factorizations of y <= x (see `improper_lengths`)."""
-        scaled = Fraction(y) * self.scale
-        if scaled < 0 or scaled.denominator != 1:
-            return set()
-        rem = scaled.numerator
-        if not self.slots:
-            return {0} if rem == 0 else set()
-        if rem % self.slots[0][1]:
-            return set()
-        return set(self._lengths_from(0, rem))
-
-    def _lengths_from(self, k: int, rem: int) -> frozenset[int]:
-        """Lengths of the sums of slots k, k+1, ... equal to rem, a multiple of g_k."""
-        found = self._memo.get((k, rem))
-        if found is None:
-            v, g, step, inv = self.slots[k]
-            if step is None:
-                found = frozenset((rem // v,))
-            else:
-                out: set[int] = set()
-                c = rem // g * inv % step
-                while c * v <= rem:
-                    out.update(n + c for n in self._lengths_from(k + 1, rem - c * v))
+            gcds.append(gcd(v, gcds[-1]))
+        gcds.reverse()
+        level = {0: {0}} if r % gcds[0] == 0 else {}
+        for v, h, g in zip(values, gcds, gcds[1:]):
+            step = g // h
+            inv = pow(v // h, -1, step)
+            grown: dict[int, set[int]] = {}
+            for s, counts in level.items():
+                c = (r - s) // h * inv % step
+                while s + c * v <= top:
+                    grown.setdefault(s + c * v, set()).update(n + c for n in counts)
                     c += step
-                found = frozenset(out)
-            self._memo[(k, rem)] = found
-        return found
+            level = grown
+        if not level:
+            return
+        lens: set[int] = set()
+        for Y in range(min(level), top + 1, scale) if bases else (0,):
+            lens = {n + 1 for n in lens} | level.get(Y, set())
+            self.lengths[Fraction(Y, scale)] = lens
 
     def splitting(self, B_prop: GeneratorSet) -> list[tuple[Fraction, Factorization]]:
         """(y, hub of x - y) for every splitting, in increasing y (see `improper_divisor_pairs`)."""
-        scaled = self.x * self.scale
-        if gcd(scaled.denominator, self.scale) != 1:
-            return []
-        if not self.slots:
-            candidates = [0]
-        else:
-            r = scaled.numerator * pow(scaled.denominator, -1, self.scale) % self.scale
-            level = {0} if r % self.slots[0][1] == 0 else set()
-            for v, g, step, inv in self.slots[:-1]:
-                level = {
-                    t
-                    for s in level
-                    for t in range(s + (r - s) // g * inv % step * v, self.top + 1, step * v)
-                }
-            candidates = range(min(level), self.top + 1, self.scale) if level else []
         split = []
-        for n in candidates:
-            y = Fraction(n, self.scale)
+        for y in self.lengths:
             hub = solve_hub(self.x - y, B_prop)
             if hub is not None:
                 split.append((y, hub))
@@ -265,28 +252,12 @@ class _ImproperSlots:
 def improper_lengths(y: Rational, B_imp: GeneratorSet) -> set[int]:
     """All factorization lengths of y over an all-improper set.
 
-    A complete search on integers.  Every atom is at least 1, so a
-    factorization of y uses only powers b**e <= y and has at most
-    floor(y) atoms.  Every power b**e <= y has a denominator dividing
-    D = prod d(b)**E (E the largest such e), so y and every atom are
-    scaled by D and the question stays exact on ints.  The search fixes
-    the count of one slot at a time, highest exponent first and the unit
-    last, and tries every count that keeps the remainder nonnegative, so
-    it meets every factorization of y.
-
-    The one prune: the slots still to come only ever sum to multiples of
-    g, the gcd of their values, so a remainder that g does not divide
-    can never be completed, and dropping it loses no factorization.  It
-    is the oracle's ``suffix_den`` check read on integers.  Results are
-    memoised on (slot, remainder) within one call.  The route shares
-    nothing with `enumerate_factorizations`, against which the tests
-    check it.
+    The set need not be canonical: the search of `_ImproperSlots` only
+    scales by the denominators.
     """
     if any(b <= 1 for b in B_imp.bases):
         raise ValueError("improper lengths need every base above 1")
-    if y == 0:
-        return {0}
-    return _ImproperSlots(y, B_imp).lengths(y)
+    return _ImproperSlots(y, B_imp).lengths.get(Fraction(y), set())
 
 
 class ImproperDivisorReport(NamedTuple):
@@ -326,75 +297,60 @@ def improper_divisor_pairs(x: Rational, B: GeneratorSet) -> ImproperDivisorRepor
 
     y runs over the sums <= x of units and improper powers b**e <= x;
     y' must lie in the proper-side monoid, which one `solve_hub` per
-    distinct y decides.
-
-    The candidates come from one pass on integers, scaled by D as in
-    `improper_lengths`, so y is Y / D.  The proper denominators are
-    coprime to D (the set is canonical), so x - y can be a member only
-    when Y is congruent modulo D to r = D * x, its denominator inverted
-    modulo D; no other y is worth a hub solve.  The pass runs over the
-    power slots and keeps the partial sums <= D * x, deduplicated by
-    value, that agree with r modulo the gcd of the slots still to come,
-    the unit D included: only those can still end in the class of r,
-    the same lossless prune as in `improper_lengths`.  After the last
-    power slot every surviving sum lies in that class, and units walk
-    the class upward, so the candidates are its members from the least
-    surviving sum up to D * x.
+    candidate decides.  The candidates are the values of the target
+    class that `_ImproperSlots` reaches: no other y leaves an x - y
+    whose denominator is coprime to the improper ones.  A set with no
+    improper generator has the one candidate y = 0.
     """
     if not B.is_canonical:
         raise NotCanonical("the splitting needs a canonical set")
     if x < 0:
         raise NotMember(f"{x} is negative")
-    if x == 0:
-        return ImproperDivisorReport(x, ((Fraction(0), Fraction(0)),), SearchCaps(0, 0))
-    slots = _ImproperSlots(x, improper_reduction(B))
+    slots = _ImproperSlots(x, B)
     return _divisor_report(slots, slots.splitting(proper_reduction(B)))
 
 
 def length_set(x: Rational, B: GeneratorSet) -> MapUnion:
     """Exact L(x) for any canonical generator set.
 
-    Dispatches on the proper/improper makeup.  All-proper: one component
-    |hub| + <d(b) - n(b) : b in W> per witness family W of the hub (see
-    `witness_families` for why).  All-improper: the complete integer
-    search of `improper_lengths`.  Mixed: the union of shifted
-    proper-side sets over all splittings.  Every route is complete: the
-    improper-side searches bound themselves by x.
+    Every factorization of x splits into its improper atoms, of value y,
+    and the rest, a factorization of y' = x - y over the proper side.
+    So L(x) is the union over the splittings of the improper lengths of
+    y plus L(y') over the proper side, which is one component
+    |hub(y')| + <d(b) - n(b) : b in W> per witness family W of the hub
+    of y' (see `witness_families` for why).  A set with no improper
+    generator has the one splitting y = 0; one with no proper generator
+    has the one splitting y = x.  The improper side bounds itself by x,
+    so the set is exact, and x is a member exactly when it has a
+    splitting.
     """
-    return _length_set_parts(x, B)[1]
+    return _length_set_parts(x, B)[0]
 
 
-def _length_set_parts(
-    x: Rational, B: GeneratorSet
-) -> tuple[Factorization, MapUnion, ImproperDivisorReport | None]:
-    """The hub of x, L(x) and, for a mixed set, the splitting behind it.
+def _length_set_parts(x: Rational, B: GeneratorSet) -> tuple[MapUnion, ImproperDivisorReport]:
+    """L(x) and the splitting behind it (see `length_set`).
 
-    A mixed L(x) is the union over the splittings x = y + y' of the
-    improper lengths of y plus the proper-side components of y', which
-    come from the hub of y' found while splitting.
+    With an improper generator the pass can walk far before it finds
+    that a non-member has no splitting, so one hub solve over B turns
+    the non-member away first.  Without one the split is that hub solve.
     """
     if not B.is_canonical:
         raise NotCanonical("structural length sets need a canonical set")
     if x == 0:
         raise NotMember("length sets are taken over nonzero elements")
-    hub = solve_hub(x, B)
-    if hub is None:
+    if B.improper_part and solve_hub(x, B) is None:
         raise NotMember(f"{x} is not in the monoid")
-    if not B.improper_part:
-        return hub, MapUnion(_proper_components(hub.length, witness_families(hub, B), B)), None
-
-    B_imp = improper_reduction(B)
-    if not B.proper_part:
-        return hub, MapUnion.from_values(improper_lengths(x, B_imp)), None
-
     B_prop = proper_reduction(B)
-    slots = _ImproperSlots(x, B_imp)
+    slots = _ImproperSlots(x, B)
     split = slots.splitting(B_prop)
+    if not split:
+        raise NotMember(f"{x} is not in the monoid")
     comps = []
     for y, hub_yp in split:
-        prop = _proper_components(hub_yp.length, witness_families(hub_yp, B_prop), B_prop)
-        comps.extend(c.shifted(n) for n in slots.lengths(y) for c in prop)
-    return hub, MapUnion(comps), _divisor_report(slots, split)
+        families = witness_families(hub_yp, B_prop)
+        for n in slots.lengths[y]:
+            comps.extend(_proper_components(hub_yp.length + n, families, B_prop))
+    return MapUnion(comps), _divisor_report(slots, split)
 
 
 def delta_truncation_bound(mu: MapUnion) -> int:
@@ -551,7 +507,7 @@ def union_of_lengths(
     if k <= 0:
         raise ZeroLength("unions of sets of lengths start at k = 1")
     if not B.bases:
-        raise ValueError("the trivial monoid has no sets of lengths")
+        raise NotMember("the trivial monoid has no nonzero element to take lengths of")
     atoms = canonical_atoms(B, e_max)
     values = {sum((a.value for a in combo), Fraction(0))
               for combo in combinations_with_replacement(atoms, k)}

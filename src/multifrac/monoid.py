@@ -177,14 +177,12 @@ def proper_reduction(B: GeneratorSet) -> GeneratorSet:
     """Generator set restricted to the bases below 1.
 
     The full monoid is atomic precisely when this reduction is, so many
-    questions factor through it.
+    questions factor through it.  A set of proper fractions is its own
+    reduction.
     """
+    if len(B.proper_part) == len(B.bases):
+        return B
     return build_generator_set(B.bases[i] for i in B.proper_part)
-
-
-def improper_reduction(B: GeneratorSet) -> GeneratorSet:
-    """Generator set restricted to the bases above 1."""
-    return build_generator_set(B.bases[i] for i in B.improper_part)
 
 
 def generator_set_to_dict(B: GeneratorSet) -> dict:

@@ -25,6 +25,11 @@ def src_env() -> dict:
     return env
 
 
+def improper_reduction(B: GeneratorSet) -> GeneratorSet:
+    """The set of the bases of B above 1."""
+    return build_generator_set(b for b in B.bases if b > 1)
+
+
 def random_canonical_set(
     rng,
     max_bases: int = 3,

@@ -1,12 +1,13 @@
 """Command-line surface: parsing, reports, caching, exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from conftest import src_env
+from conftest import SRC, src_env
 from multifrac.check import difftest
 from multifrac.cli import Command, main, parse_command, run
 from multifrac.exceptions import NotCanonical
@@ -227,6 +228,32 @@ def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [entry]
 
 
+def test_cache_misses_once_the_package_source_changes(tmp_path):
+    """The key digests the package's own source, so a report cached by
+    other code under the same version is never served."""
+    shutil.copytree(SRC / "multifrac", tmp_path / "pkg" / "multifrac",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = src_env()
+    env["PYTHONPATH"] = str(tmp_path / "pkg")
+    env.pop("MULTIFRAC_CACHE", None)
+    cache = tmp_path / "cache"
+    argv = [sys.executable, "-m", "multifrac.cli", "member", "--bases", "2/3", "--x", "4/3",
+            "--json", "--cache-dir", str(cache)]
+
+    def cached_run():
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    first = cached_run()
+    assert cached_run() == first
+    assert len(list(cache.glob("*.json"))) == 1
+    with open(tmp_path / "pkg" / "multifrac" / "qcore.py", "a") as source:
+        source.write("# an edit that changes no report\n")
+    assert cached_run() == first
+    assert len(list(cache.glob("*.json"))) == 2
+
+
 def test_unwritable_cache_is_a_usage_error_and_leaves_no_temporary_file(
     tmp_path, capsys, monkeypatch
 ):
@@ -259,6 +286,13 @@ def test_domain_errors_exit_2(capsys):
     code, _, err = invoke(capsys, ["difftest", "--bases", "2/3,5/6"])
     assert code == 2
     assert "error[NotCanonical]" in err
+
+
+def test_unions_over_the_empty_set_is_a_domain_error(capsys):
+    """The trivial monoid has no nonzero element: one error line, exit 2."""
+    code, out, err = invoke(capsys, ["unions", "--bases", ",", "--k", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[NotMember]") and err.count("\n") == 1, err
 
 
 def test_difftest_function_passes_on_canonical_sets():

@@ -1,8 +1,9 @@
 """Frozen CLI output: each command's --json stdout must match its file byte for byte.
 
 The files under tests/golden/ hold the output of the README commands
-(plus a mixed-set `lengths`, a single-element `delta` and a single-element
-`difftest`), so a refactor that changes any byte of a report fails here.
+(plus a mixed-set and an all-improper `lengths`, a single-element
+`delta` and a single-element `difftest`), so a refactor that changes
+any byte of a report fails here.
 """
 
 from pathlib import Path
@@ -22,6 +23,7 @@ COMMANDS = {
     "construct_delta": "construct --kind delta --d 2 --k 2",
     "difftest": "difftest --bases 2/3,4/5 --trials 50 --seed 42",
     "lengths_mixed": "lengths --bases 3/2,2/5 --x 7/1 --cap 30",
+    "lengths_improper": "lengths --bases 3/2 --x 7/1 --cap 20",
     "delta_x": "delta --bases 2/3,4/5 --x 4/1",
     "difftest_x": "difftest --bases 2/3,4/5 --x 22/15 --seed 3",
 }

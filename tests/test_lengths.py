@@ -70,7 +70,7 @@ def test_component_subset_sum_of_two_progressions():
 
 
 def test_union_basics():
-    mu = MapUnion.from_values([4, 2, 2, 9])
+    mu = MapUnion(MapComponent(v) for v in [4, 2, 2, 9])
     assert mu.truncate(10) == [2, 4, 9]
     assert mu.min_value() == 2
     assert not mu.is_infinite()
@@ -86,11 +86,6 @@ def test_union_merge_deduplicates():
     assert merged.components == (MapComponent(2, (3,)), MapComponent(5))
     assert merged.truncate(9) == [2, 5, 8]
     assert MapUnion(b.components + a.components) == merged
-
-
-def test_union_shift():
-    mu = MapUnion(c.shifted(3) for c in (MapComponent(1, (2,)),))
-    assert mu.truncate(10) == [4, 6, 8, 10]
 
 
 def test_union_dict_round_trip():
@@ -394,7 +389,7 @@ def test_union_contains_its_own_index():
 def test_union_guards():
     with pytest.raises(ZeroLength):
         union_of_lengths(0, B23)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotMember):
         union_of_lengths(2, build_generator_set([]))
 
 

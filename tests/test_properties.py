@@ -19,6 +19,7 @@ from math import gcd, lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import improper_reduction
 from multifrac.factorizer import (
     Factorization,
     SearchCaps,
@@ -40,7 +41,7 @@ from multifrac.lengths import (
     improper_lengths,
     length_set,
 )
-from multifrac.monoid import build_generator_set, improper_reduction, proper_reduction
+from multifrac.monoid import build_generator_set, proper_reduction
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
