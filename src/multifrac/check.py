@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .exceptions import NotCanonical
+from .exceptions import NotAtomic, NotCanonical
 from .factorizer import (
     Factorization,
     SearchCaps,
@@ -23,7 +23,7 @@ from .factorizer import (
 )
 from .lengths import length_set
 from .monoid import GeneratorSet
-from .qcore import format_rational
+from .qcore import Rational, format_rational
 
 
 def _difftest_case(x, B: GeneratorSet, caps: SearchCaps) -> dict:
@@ -52,7 +52,7 @@ def _difftest_case(x, B: GeneratorSet, caps: SearchCaps) -> dict:
         ok = ok and sound
         if not B.improper_part:
             t_safe = min(caps.len_max, hub.length + caps.e_max - hub.max_exponent())
-            window_struct = [v for v in mu.truncate(t_safe)]
+            window_struct = mu.truncate(t_safe)
             window_enum = sorted(v for v in enum_lengths if v <= t_safe)
             equal = window_struct == window_enum
             checks["window"] = {
@@ -71,13 +71,9 @@ def _difftest_case(x, B: GeneratorSet, caps: SearchCaps) -> dict:
         for step in chain:
             before = state.length
             state = apply_rewrite(state, step, B)
-            n_b = B.bases[step.base_index].numerator
-            d_b = B.bases[step.base_index].denominator
-            expected = (
-                step.multiplicity * (n_b - d_b)
-                if step.direction == "down"
-                else step.multiplicity * (d_b - n_b)
-            )
+            b = B.bases[step.base_index]
+            sign = 1 if step.direction == "down" else -1
+            expected = sign * step.multiplicity * (b.numerator - b.denominator)
             if state.length - before != expected or evaluate(state, B) != x:
                 replay_ok = False
                 break
@@ -89,36 +85,38 @@ def _difftest_case(x, B: GeneratorSet, caps: SearchCaps) -> dict:
     return case
 
 
-def difftest(B: GeneratorSet, trials: int, caps: SearchCaps, rng_seed: int) -> dict:
+def difftest(
+    B: GeneratorSet, trials: int, caps: SearchCaps, rng_seed: int, x: Rational | None = None
+) -> dict:
     """Cross-check hub, enumeration and length machinery on random elements.
 
     Each trial evaluates a random factorization and re-derives everything
     about its value from scratch; the report lists every case with its
     individual check results, so a failure carries its counterexample.
+    Given ``x``, the one case is that element and ``trials`` is unused.
     """
     if not B.is_canonical:
         raise NotCanonical("difftest needs a canonical generator set")
-    rng = random.Random(rng_seed)
-    cases = []
-    for _ in range(trials):
-        terms = {}
-        for i, b in enumerate(B.bases):
-            for e in (1, 2):
-                c = rng.randint(0, b.denominator - 1)
-                if c:
-                    terms[(i, e)] = c
-        z = Factorization.from_terms(rng.randint(0, 3), terms)
-        cases.append(_difftest_case(evaluate(z, B), B, caps))
-    return _difftest_report(B, caps, rng_seed, cases)
-
-
-def _difftest_report(B: GeneratorSet, caps: SearchCaps, seed: int, cases: list) -> dict:
+    if B.has_unit_fraction:
+        raise NotAtomic("a unit fraction's powers are not atoms")
+    values = [x]
+    if x is None:
+        rng = random.Random(rng_seed)
+        values = []
+        for _ in range(trials):
+            terms = {}
+            for i, b in enumerate(B.bases):
+                for e in (1, 2):
+                    c = rng.randint(0, b.denominator - 1)
+                    if c:
+                        terms[(i, e)] = c
+            values.append(evaluate(Factorization.from_terms(rng.randint(0, 3), terms), B))
+    cases = [_difftest_case(v, B, caps) for v in values]
     return {
-        "command": "difftest",
         "bases": [format_rational(b) for b in B.bases],
         "caps": {"e_max": caps.e_max, "len_max": caps.len_max},
         "trials": len(cases),
-        "seed": seed,
+        "seed": rng_seed,
         "cases": cases,
         "ok": all(c["ok"] for c in cases),
     }

@@ -67,9 +67,11 @@ def _parse_bases(ns) -> GeneratorSet:
     return build_generator_set(parse_rational(s) for s in raw)
 
 
-def _add_base_options(p: _Parser) -> None:
-    p.add_argument("--bases", help="comma-separated generators, e.g. 2/3,4/5")
-    p.add_argument("--bases-file", help="file holding generators")
+def _add_base_options(p: _Parser):
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--bases", help="comma-separated generators, e.g. 2/3,4/5")
+    group.add_argument("--bases-file", help="file holding generators")
+    return group
 
 
 def _nonnegative_int(text: str) -> int:
@@ -88,37 +90,28 @@ def _add_cap_options(p: _Parser) -> None:
     p.add_argument("--lenmax", type=_nonnegative_int, default=64, help="length cap (default 64)")
 
 
-def _caps(ns):
-    from .factorizer import SearchCaps
-
-    return SearchCaps(e_max=ns.emax, len_max=ns.lenmax)
-
-
 def cmd_classify(ns) -> dict:
     if ns.base is not None:
         r = parse_rational(ns.base)
         c = classify_cyclic(r)
         return {
-            "command": "classify",
             "base": format_rational(r),
             "case": c.case.value,
             "atomic": c.atomic,
             "atoms": c.atom_description,
         }
     B = _parse_bases(ns)
-    report = {"command": "classify", "generators": generator_set_to_dict(B)}
     obstruction = accp_obstruction(B)
-    report["accp_obstruction"] = (
-        format_rational(obstruction) if obstruction is not None else None
-    )
-    return report
+    return {
+        "generators": generator_set_to_dict(B),
+        "accp_obstruction": format_rational(obstruction) if obstruction is not None else None,
+    }
 
 
 def cmd_atoms(ns) -> dict:
     B = _parse_bases(ns)
     atoms = canonical_atoms(B, ns.emax)
     return {
-        "command": "atoms",
         "generators": generator_set_to_dict(B),
         "emax": ns.emax,
         "atoms": [
@@ -139,7 +132,6 @@ def cmd_member(ns) -> dict:
     x = parse_rational(ns.x)
     hub = solve_hub(x, B)
     return {
-        "command": "member",
         "bases": [format_rational(b) for b in B.bases],
         "x": format_rational(x),
         "member": hub is not None,
@@ -169,17 +161,16 @@ def _enumeration_complete(B: GeneratorSet, hub, caps) -> bool:
 
 
 def cmd_factorize(ns) -> dict:
-    from .factorizer import enumerate_factorizations, factorization_to_dict, solve_hub
+    from .factorizer import SearchCaps, enumerate_factorizations, factorization_to_dict, solve_hub
 
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
-    caps = _caps(ns)
+    caps = SearchCaps(ns.emax, ns.lenmax)
     hub = solve_hub(x, B) if B.is_canonical else None
     found = enumerate_factorizations(x, B, caps)
     lengths = sorted({z.length for z in found})
     listed = found[: ns.limit]
     return {
-        "command": "factorize",
         "bases": [format_rational(b) for b in B.bases],
         "x": format_rational(x),
         "caps": {"e_max": caps.e_max, "len_max": caps.len_max},
@@ -193,14 +184,18 @@ def cmd_factorize(ns) -> dict:
 
 def cmd_lengths(ns) -> dict:
     from .factorizer import factorization_to_dict, solve_hub, witness_families
-    from .lengths import _length_set_parts, delta_of_length_set, is_single_difference
+    from .lengths import (
+        delta_of_length_set,
+        improper_divisor_pairs,
+        is_single_difference,
+        length_set,
+    )
 
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
-    mu, splitting = _length_set_parts(x, B)
+    mu = length_set(x, B)
     hub = solve_hub(x, B)
     report = {
-        "command": "lengths",
         "bases": [format_rational(b) for b in B.bases],
         "x": format_rational(x),
         "hub": factorization_to_dict(hub, B),
@@ -215,26 +210,8 @@ def cmd_lengths(ns) -> dict:
     if not B.improper_part:
         report["families"] = [list(f) for f in witness_families(hub, B)]
     elif B.proper_part:
-        d = splitting.to_dict()
-        report["splittings"] = {
-            "pairs": d["pairs"],
-            "caps": d["caps"],
-            "complete": d["complete"],
-        }
+        report["splittings"] = improper_divisor_pairs(x, B).to_dict()
     return report
-
-
-def _random_sample(B: GeneratorSet, trials: int, seed: int, e_max: int) -> list:
-    """Random candidate values num/den with den a product of base denominators."""
-    rng = random.Random(seed)
-    dens = [b.denominator for b in B.bases]
-    sample = []
-    for _ in range(trials):
-        d = 1
-        for q in dens:
-            d *= q ** rng.randint(0, e_max)
-        sample.append(Fraction(rng.randint(1, 12 * d), d))
-    return sample
 
 
 def cmd_delta(ns) -> dict:
@@ -251,19 +228,25 @@ def cmd_delta(ns) -> dict:
         x = parse_rational(ns.x)
         mu = length_set(x, B)
         return {
-            "command": "delta",
             "bases": [format_rational(b) for b in B.bases],
             "x": format_rational(x),
             "delta": sorted(delta_of_length_set(mu)),
             "single_difference": is_single_difference(B),
             "scan_bound": delta_truncation_bound(mu),
         }
-    sample = sorted(set(_random_sample(B, ns.trials, ns.seed, ns.emax)))
+    # Random candidates num/den, den a product of powers of the base denominators.
+    rng = random.Random(ns.seed)
+    sample = set()
+    for _ in range(ns.trials):
+        d = 1
+        for b in B.bases:
+            d *= b.denominator ** rng.randint(0, ns.emax)
+        sample.add(Fraction(rng.randint(1, 12 * d), d))
+    sample = sorted(sample)
     deltas = delta_sample(B, sample)
     per_element = [{"x": format_rational(v), "delta": sorted(d)} for v, d in deltas.items()]
     single = is_single_difference(B)
     return {
-        "command": "delta",
         "bases": [format_rational(b) for b in B.bases],
         "trials": ns.trials,
         "seed": ns.seed,
@@ -286,7 +269,6 @@ def cmd_unions(ns) -> dict:
     B = _parse_bases(ns)
     report = union_of_lengths(ns.k, B, ns.emax, bound=ns.cap)
     out = {
-        "command": "unions",
         "bases": [format_rational(b) for b in B.bases],
         "k": report.k,
         "bound": report.bound,
@@ -297,19 +279,11 @@ def cmd_unions(ns) -> dict:
         "element_count": report.element_count,
     }
     if ns.aap_d is not None:
-        decomposition = aap_check(report.members, ns.aap_d, ns.aap_n)
-        out["aap"] = (
-            None
-            if decomposition is None
-            else {
-                "y": decomposition.y,
-                "d": decomposition.d,
-                "N": decomposition.N,
-                "s_prime": list(decomposition.s_prime),
-                "s_star_count": len(decomposition.s_star),
-                "s_dprime": list(decomposition.s_dprime),
-            }
-        )
+        w = aap_check(report.members, ns.aap_d, ns.aap_n)
+        out["aap"] = None if w is None else {
+            "y": w.y, "d": w.d, "N": w.N, "s_prime": list(w.s_prime),
+            "s_star_count": len(w.s_star), "s_dprime": list(w.s_dprime),
+        }
     return out
 
 
@@ -326,7 +300,6 @@ def cmd_construct(ns) -> dict:
         B = nonatomic_family(ns.n, seed)
         witness = nonatomic_witness(B, m=ns.m, N_max=ns.nmax)
         return {
-            "command": "construct",
             "kind": "nonatomic",
             "n": ns.n,
             "generators": generator_set_to_dict(B),
@@ -334,7 +307,6 @@ def cmd_construct(ns) -> dict:
         }
     report = delta_realization_check(ns.d, ns.k)
     return {
-        "command": "construct",
         "kind": "delta",
         "d": report.d,
         "k": report.k,
@@ -347,14 +319,11 @@ def cmd_construct(ns) -> dict:
 
 
 def cmd_difftest(ns) -> dict:
-    from .check import _difftest_case, _difftest_report, difftest
+    from .check import difftest
+    from .factorizer import SearchCaps
 
-    B = _parse_bases(ns)
-    caps = _caps(ns)
-    if ns.x is not None:
-        case = _difftest_case(parse_rational(ns.x), B, caps)
-        return _difftest_report(B, caps, ns.seed, [case])
-    return difftest(B, ns.trials, caps, ns.seed)
+    x = parse_rational(ns.x) if ns.x is not None else None
+    return difftest(_parse_bases(ns), ns.trials, SearchCaps(ns.emax, ns.lenmax), ns.seed, x)
 
 
 _HANDLERS = {
@@ -375,8 +344,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("classify", help="cyclic trichotomy or generator-set flags")
-    p.add_argument("--base", help="single generator to classify")
-    _add_base_options(p)
+    _add_base_options(p).add_argument("--base", help="single generator to classify")
 
     p = sub.add_parser("atoms", help="list atoms of a canonical set")
     _add_base_options(p)
@@ -457,6 +425,11 @@ def _with_parsed_bases(params: dict) -> dict:
     return {**params, "bases": ",".join(map(format_rational, B.bases)), "bases_file": None}
 
 
+def _report(verb: str, params: dict) -> dict:
+    """The verb handler's payload under a leading "command" key naming the verb."""
+    return {"command": verb, **_HANDLERS[verb](SimpleNamespace(**params))}
+
+
 def run(cmd: Command) -> dict:
     """Dispatch one command to its verb handler, through the cache if set.
 
@@ -470,7 +443,7 @@ def run(cmd: Command) -> dict:
     error, and no temporary file outlives it.
     """
     if not cmd.cache_dir:
-        return _HANDLERS[cmd.verb](SimpleNamespace(**cmd.params))
+        return _report(cmd.verb, cmd.params)
     import hashlib
 
     params = _with_parsed_bases(cmd.params)
@@ -489,7 +462,7 @@ def run(cmd: Command) -> dict:
         cached = None
     if isinstance(cached, dict):
         return cached
-    report = _HANDLERS[cmd.verb](SimpleNamespace(**params))
+    report = _report(cmd.verb, params)
     entry = {"manifest": {"verb": cmd.verb, "params": params}, "report": report}
     tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
     try:
@@ -525,9 +498,9 @@ def main(argv=None) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print("\n".join(_render_text(report)))
-        if report.get("command") == "difftest" and not report["ok"]:
+        if cmd.verb == "difftest" and not report["ok"]:
             return 2
-        if report.get("command") == "construct" and report.get("realized") is False:
+        if cmd.verb == "construct" and report.get("realized") is False:
             return 2
         return 0
     except ParseError as exc:

@@ -116,10 +116,14 @@ def nonatomic_witness(
 
     The lead pair is recovered from the one denominator shared by two
     generators.  Exponents N are tried in ascending order over (m, N_max],
-    and within each N beta ascends from 1, so the returned witness is
-    deterministic.  Both coefficients must be positive: a single-term
-    identity would not split anything.  Returns None when no identity
-    exists below the cap.
+    and within each N the least beta >= 1 is taken, so the returned
+    witness is deterministic.  Over the denominator p2**N the identity is
+    alpha * a + beta * b = rhs with a, b = p0**N, p1**N, so beta solves
+    beta * b = rhs (mod a): one class modulo a / gcd(a, b), found by one
+    inverse, and empty unless gcd(a, b) divides rhs.  Both coefficients
+    must be positive, since a single-term identity splits nothing, so N
+    has a witness exactly when the least such beta has beta * b < rhs.
+    Returns None when no identity exists below the cap.
     """
     if m < 1:
         raise BadLevel("the exponent m must be positive")
@@ -131,25 +135,26 @@ def nonatomic_witness(
         raise BadSeed("expected exactly one denominator shared by two generators")
     p2 = shared[0]
     p0, p1 = sorted(by_den[p2])
-    x = Fraction(p0, p2) ** m
     for n_exp in range(m + 1, N_max + 1):
         rhs = p0**m * p2 ** (n_exp - m)
-        beta = 1
-        while beta * p1**n_exp < rhs:
-            rest = rhs - beta * p1**n_exp
-            if rest % p0**n_exp == 0:
-                witness = NonatomicWitness(
-                    x=x,
-                    m=m,
-                    N=n_exp,
-                    alpha=rest // p0**n_exp,
-                    beta=beta,
-                    b0=Fraction(p0, p2),
-                    b1=Fraction(p1, p2),
-                )
-                assert witness.identity_holds()
-                return witness
-            beta += 1
+        a, b = p0**n_exp, p1**n_exp
+        g = gcd(a, b)
+        if rhs % g:
+            continue
+        modulus = a // g
+        beta = rhs // g * pow(b // g, -1, modulus) % modulus or modulus
+        if beta * b < rhs:
+            witness = NonatomicWitness(
+                x=Fraction(p0, p2) ** m,
+                m=m,
+                N=n_exp,
+                alpha=(rhs - beta * b) // a,
+                beta=beta,
+                b0=Fraction(p0, p2),
+                b1=Fraction(p1, p2),
+            )
+            assert witness.identity_holds()
+            return witness
     return None
 
 

@@ -11,10 +11,6 @@ class MultifracError(Exception):
     code = "Error"
 
 
-class ZeroDenominator(MultifracError):
-    code = "ZeroDenominator"
-
-
 class ZeroGenerator(MultifracError):
     code = "ZeroGenerator"
 
@@ -25,6 +21,10 @@ class DuplicateBase(MultifracError):
 
 class NotCanonical(MultifracError):
     code = "NotCanonical"
+
+
+class NotAtomic(MultifracError):
+    code = "NotAtomic"
 
 
 class BadIndex(MultifracError):

@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from .exceptions import (
     ImproperBase,
+    NotAtomic,
     NotCanonical,
     NotMember,
     ZeroLength,
@@ -135,21 +136,6 @@ def _proper_components(offset: int, families, B: GeneratorSet) -> list[MapCompon
     return [MapComponent(offset, tuple(steps[i] for i in fam)) for fam in families]
 
 
-def _improper_value_caps(y: Rational, bases) -> SearchCaps:
-    """Self-derived complete search bounds over the improper ``bases``.
-
-    Every atom power exceeds 1, so a factorization of y has length at
-    most floor(y), and a power b**e can only appear while b**e <= y.
-    """
-    e_self = 0
-    for b in bases:
-        e = 0
-        while b ** (e + 1) <= y:
-            e += 1
-        e_self = max(e_self, e)
-    return SearchCaps(e_max=e_self, len_max=int(y))
-
-
 class _ImproperSlots:
     """The improper lengths of every value y <= x that a splitting of x can use.
 
@@ -158,9 +144,9 @@ class _ImproperSlots:
 
     A complete search on integers.  Every improper atom is at least 1,
     so a factorization of y <= x uses only powers b**e <= x and has at
-    most floor(x) atoms; ``caps`` records these bounds
-    (`_improper_value_caps`).  Every power b**e <= x has a denominator
-    dividing D = ``scale`` = prod d(b)**E, E = caps.e_max, so every
+    most floor(x) atoms; ``caps`` records these bounds, E = caps.e_max
+    being the largest exponent of such a power.  Every power b**e <= x
+    has a denominator dividing D = ``scale`` = prod d(b)**E, so every
     value is multiplied by D and the question stays exact on ints.  The
     slots are the powers b**e <= x, base by base with the highest
     exponent first; the unit atom 1 scales to D.
@@ -198,8 +184,11 @@ class _ImproperSlots:
     def __init__(self, x: Rational, B: GeneratorSet):
         bases = [B.bases[i] for i in B.improper_part]
         self.x = Fraction(x)
-        self.caps = _improper_value_caps(x, bases)
-        e_top = self.caps.e_max
+        e_top = 0
+        for b in bases:
+            while b ** (e_top + 1) <= x:
+                e_top += 1
+        self.caps = SearchCaps(e_max=e_top, len_max=int(x))
         scale = 1
         for b in bases:
             scale *= b.denominator**e_top
@@ -276,8 +265,8 @@ class ImproperDivisorReport(NamedTuple):
     caps: SearchCaps
 
     def to_dict(self) -> dict:
+        """The ``splittings`` object of a mixed `lengths` report; it omits x."""
         return {
-            "x": format_rational(self.x),
             "pairs": [
                 {"improper": format_rational(y), "proper": format_rational(yp)}
                 for y, yp in self.pairs
@@ -285,11 +274,6 @@ class ImproperDivisorReport(NamedTuple):
             "caps": {"e_max": self.caps.e_max, "len_max": self.caps.len_max},
             "complete": True,
         }
-
-
-def _divisor_report(slots: _ImproperSlots, split) -> ImproperDivisorReport:
-    pairs = tuple((y, slots.x - y) for y, _ in split)
-    return ImproperDivisorReport(slots.x, pairs, slots.caps)
 
 
 def improper_divisor_pairs(x: Rational, B: GeneratorSet) -> ImproperDivisorReport:
@@ -307,7 +291,8 @@ def improper_divisor_pairs(x: Rational, B: GeneratorSet) -> ImproperDivisorRepor
     if x < 0:
         raise NotMember(f"{x} is negative")
     slots = _ImproperSlots(x, B)
-    return _divisor_report(slots, slots.splitting(proper_reduction(B)))
+    pairs = tuple((y, slots.x - y) for y, _ in slots.splitting(proper_reduction(B)))
+    return ImproperDivisorReport(slots.x, pairs, slots.caps)
 
 
 def length_set(x: Rational, B: GeneratorSet) -> MapUnion:
@@ -323,12 +308,6 @@ def length_set(x: Rational, B: GeneratorSet) -> MapUnion:
     has the one splitting y = x.  The improper side bounds itself by x,
     so the set is exact, and x is a member exactly when it has a
     splitting.
-    """
-    return _length_set_parts(x, B)[0]
-
-
-def _length_set_parts(x: Rational, B: GeneratorSet) -> tuple[MapUnion, ImproperDivisorReport]:
-    """L(x) and the splitting behind it (see `length_set`).
 
     With an improper generator the pass can walk far before it finds
     that a non-member has no splitting, so one hub solve over B turns
@@ -336,6 +315,8 @@ def _length_set_parts(x: Rational, B: GeneratorSet) -> tuple[MapUnion, ImproperD
     """
     if not B.is_canonical:
         raise NotCanonical("structural length sets need a canonical set")
+    if B.has_unit_fraction:
+        raise NotAtomic("a unit fraction's powers are not atoms")
     if x == 0:
         raise NotMember("length sets are taken over nonzero elements")
     if B.improper_part and solve_hub(x, B) is None:
@@ -350,7 +331,7 @@ def _length_set_parts(x: Rational, B: GeneratorSet) -> tuple[MapUnion, ImproperD
         families = witness_families(hub_yp, B_prop)
         for n in slots.lengths[y]:
             comps.extend(_proper_components(hub_yp.length + n, families, B_prop))
-    return MapUnion(comps), _divisor_report(slots, split)
+    return MapUnion(comps)
 
 
 def delta_truncation_bound(mu: MapUnion) -> int:
@@ -433,6 +414,8 @@ def delta_of_monoid(B: GeneratorSet) -> dict[int, Rational]:
         raise NotCanonical("the shape reduction needs a canonical set")
     if B.improper_part:
         raise ImproperBase("the shape reduction covers proper fractions only")
+    if B.has_unit_fraction:
+        raise NotAtomic("a unit fraction's powers are not atoms")
     nums = [b.numerator for b in B.bases]
     seen = set()
     witnesses: dict[int, Rational] = {}
@@ -471,6 +454,8 @@ def delta_sample(B: GeneratorSet, sample: list[Rational]) -> dict[Rational, set[
     when is_single_difference(B) yields some d and a sampled element
     already realizes {d}.
     """
+    if B.has_unit_fraction:
+        raise NotAtomic("a unit fraction's powers are not atoms")
     deltas: dict[Rational, set[int]] = {}
     for x in sample:
         try:
@@ -577,8 +562,6 @@ def aap_check(values, d: int, N: int) -> AapDecomposition | None:
             t += d
         top = s_star[-1]
         s_dprime = tuple(r for r in rel if r > top)
-        if any(r not in s_star for r in rel if 0 <= r <= top):
-            continue
         if any(r > top + N for r in s_dprime):
             continue
         return AapDecomposition(y, d, N, s_prime, tuple(s_star), s_dprime)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .exceptions import DuplicateBase, NotCanonical, ZeroGenerator
+from .exceptions import DuplicateBase, NotAtomic, NotCanonical, ZeroGenerator
 from .qcore import Rational, format_rational
 
 
@@ -97,8 +97,9 @@ def build_generator_set(bases) -> GeneratorSet:
     """Validate and normalize a collection of positive rationals.
 
     Generators are sorted ascending.  Duplicates (after reduction) are
-    rejected; unit fractions are legal but flagged, since no power of a
-    unit fraction can be an atom.
+    rejected.  Unit fractions are legal and flagged; since no power of a
+    unit fraction is an atom, the atom and length-set routes refuse such
+    a set with `NotAtomic`, while membership and hubs still work.
     """
     values = list(bases)
     for b in values:
@@ -139,9 +140,7 @@ def accp_obstruction(B: GeneratorSet) -> Rational | None:
     so the monoid cannot satisfy the ascending chain condition on
     principal ideals.
     """
-    for i in B.proper_part:
-        return B.bases[i]
-    return None
+    return B.bases[B.proper_part[0]] if B.proper_part else None
 
 
 class Atom(NamedTuple):
@@ -160,10 +159,14 @@ def canonical_atoms(B: GeneratorSet, e_max: int) -> list[Atom]:
 
     For canonical sets the atoms are exactly the generator powers; the
     unit atom is emitted first and only once.  The empty set generates
-    the trivial monoid, which has no atoms at all.
+    the trivial monoid, which has no atoms at all.  A unit fraction 1/n
+    is refused: (1/n)**e = n * (1/n)**(e + 1), so no power of it, and not
+    1 = n * (1/n) either, is an atom.
     """
     if not B.is_canonical:
         raise NotCanonical("atoms are enumerated this way only for canonical sets")
+    if B.has_unit_fraction:
+        raise NotAtomic("a unit fraction's powers are not atoms")
     if not B.bases:
         return []
     atoms = [Atom(None, 0, Fraction(1))]

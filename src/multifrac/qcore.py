@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exceptions import ParseError, ZeroDenominator
+from .exceptions import ParseError
 
 # Reduced nonnegative rational.  fractions.Fraction already maintains the
 # invariant gcd(num, den) = 1 with den >= 1, so it is used directly.
@@ -59,13 +59,10 @@ def parse_rational(text: str) -> Rational:
         if len(parts) == 1:
             value = Fraction(int(parts[0]))
         elif len(parts) == 2:
-            p, q = int(parts[0]), int(parts[1])
-            if q == 0:
-                raise ZeroDenominator(f"denominator must be nonzero: {token!r}")
-            value = Fraction(p, q)
+            value = Fraction(int(parts[0]), int(parts[1]))
         else:
             raise ValueError(token)
-    except (ValueError, ZeroDenominator) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {token!r}") from exc
     if value < 0:
         raise ParseError(f"negative rationals are not accepted: {token!r}")

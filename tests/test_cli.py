@@ -498,3 +498,104 @@ def test_factorize_lists_and_counts(capsys):
     assert data["lengths"] == [2, 3, 4]
     assert data["complete"] is False
     assert len(data["factorizations"]) == 3
+
+
+def test_cli_imports_no_private_name_from_a_sibling_module():
+    """The front end prints what public calls return: every name it imports
+    from another multifrac module is public (a dunder such as the package's
+    __version__ is not private)."""
+    import ast
+
+    tree = ast.parse((SRC / "multifrac" / "cli.py").read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("multifrac"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
+
+
+def test_difftest_with_x_is_the_single_case_report(capsys):
+    """Given x, `difftest` checks that one element and ignores trials; the
+    CLI adds only the "command" key to what it returns."""
+    B = build_generator_set([Fraction(2, 3), Fraction(4, 5)])
+    report = difftest(B, 0, SearchCaps(4, 64), 5, Fraction(22, 15))
+    assert "command" not in report
+    assert report["trials"] == 1 and len(report["cases"]) == 1
+    assert report["cases"][0]["x"] == "22/15" and report["ok"] is True
+    assert difftest(B, 7, SearchCaps(4, 64), 5, Fraction(22, 15)) == report
+    cli = run(parse_command(["difftest", "--bases", "2/3,4/5", "--x", "22/15", "--seed", "5"]))
+    assert cli == {"command": "difftest", **report}
+
+
+UNIT_FRACTION_REFUSALS = [
+    ["atoms", "--emax", "2"],
+    ["lengths", "--x", "1"],
+    ["delta", "--x", "1"],
+    ["delta", "--trials", "3"],
+    ["delta", "--trials", "0"],
+    ["unions", "--k", "2"],
+    ["difftest", "--trials", "3"],
+    ["difftest", "--trials", "0"],
+]
+
+
+@pytest.mark.parametrize("bases", ["1/2", "1/2,2/3"])
+@pytest.mark.parametrize("argv", UNIT_FRACTION_REFUSALS, ids=" ".join)
+def test_unit_fractions_are_refused_where_atoms_or_lengths_are_asked(capsys, monkeypatch, bases, argv):
+    """1 = 2 * (1/2) and (1/2)**e = 2 * (1/2)**(e + 1), so a set holding 1/2
+    has no atoms among those powers and no set of lengths to report."""
+    monkeypatch.delenv("MULTIFRAC_CACHE", raising=False)
+    code, out, err = invoke(capsys, [argv[0], "--bases", bases, *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[NotAtomic]: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("bases", ["1/2", "1/2,2/3"])
+def test_member_still_answers_over_a_unit_fraction(capsys, bases):
+    """A hub is a normal form of the generator powers, not a claim about atoms."""
+    code, out, _ = invoke(capsys, ["member", "--bases", bases, "--x", "1", "--json"])
+    assert code == 0
+    assert json.loads(out)["member"] is True
+
+
+def test_construct_nonatomic_with_a_large_first_prime_returns_quickly():
+    """beta is solved from one congruence modulo p0**N, not stepped up from
+    1, which took about (p2/p1)**N steps for each N."""
+    env = src_env()
+    env.pop("MULTIFRAC_CACHE", None)
+    argv = ["construct", "--kind", "nonatomic", "--n", "2", "--seed-primes", "3,5,17", "--m", "3",
+            "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "multifrac.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["generators"]["bases"] == ["3/17", "5/17"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--bases", "2/3", "--bases-file", "BASES", "--x", "2/3"],
+        ["lengths", "--bases-file", "BASES", "--bases", "2/3", "--x", "2"],
+        ["classify", "--base", "2/3", "--bases", "4/5"],
+        ["classify", "--bases-file", "BASES", "--base", "2/3"],
+    ],
+    ids=" ".join,
+)
+def test_bases_options_exclude_each_other(capsys, tmp_path, argv):
+    """Two sources of generators are a usage error, not a silent choice."""
+    bases_file = tmp_path / "bases.txt"
+    bases_file.write_text("5/7\n")
+    argv = [str(bases_file) if a == "BASES" else a for a in argv]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[ParseError]: argument --") and err.count("\n") == 1, err
+    assert "not allowed with argument" in err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_canonical_set, random_factorization
-from multifrac.exceptions import NotCanonical, NotMember, ZeroLength
+from multifrac.exceptions import NotAtomic, NotCanonical, NotMember, ZeroLength
 from multifrac.factorizer import (
     SearchCaps,
     enumerate_factorizations,
@@ -22,6 +22,7 @@ from multifrac.lengths import (
     aap_check,
     delta_of_element,
     delta_of_length_set,
+    delta_of_monoid,
     delta_sample,
     delta_truncation_bound,
     improper_divisor_pairs,
@@ -215,6 +216,24 @@ def test_improper_divisor_pairs_frozen():
 
     zero = improper_divisor_pairs(Fraction(0), MIXED)
     assert zero.pairs == ((Fraction(0), Fraction(0)),)
+
+
+def test_improper_divisor_report_dict_is_the_splittings_object():
+    """to_dict() is what `lengths` prints under "splittings": no echo of x."""
+    d = improper_divisor_pairs(Fraction(2), MIXED).to_dict()
+    assert list(d) == ["pairs", "caps", "complete"]
+    assert d["pairs"][1] == {"improper": "1/1", "proper": "1/1"}
+
+
+def test_unit_fractions_have_no_length_sets():
+    for B in (build_generator_set([Fraction(1, 2)]),
+              build_generator_set([Fraction(1, 2), Fraction(2, 3)])):
+        with pytest.raises(NotAtomic):
+            length_set(Fraction(1), B)
+        with pytest.raises(NotAtomic):
+            delta_of_monoid(B)
+        with pytest.raises(NotAtomic):
+            delta_sample(B, [])
 
 
 def test_improper_divisor_pairs_report_caps():

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_factorization
 from multifrac.exceptions import (
     DuplicateBase,
+    NotAtomic,
     NotCanonical,
     ZeroGenerator,
 )
@@ -82,6 +83,12 @@ def test_unit_fraction_is_legal_but_flagged():
     B = build_generator_set([Fraction(1, 2), Fraction(2, 3)])
     assert B.is_canonical
     assert B.has_unit_fraction
+
+
+def test_unit_fraction_has_no_atoms():
+    """(1/2)**e = 2 * (1/2)**(e + 1): no power of a unit fraction is an atom."""
+    with pytest.raises(NotAtomic):
+        canonical_atoms(build_generator_set([Fraction(1, 2), Fraction(2, 3)]), 2)
 
 
 def test_hereditary_predicate_fixed_points():
