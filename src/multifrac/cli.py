@@ -5,7 +5,8 @@ Every verb prints one report, either as indented canonical JSON
 the same invocation always produces byte-identical output, which is
 what makes the optional on-disk cache safe.  Parse problems exit 1,
 domain errors exit 2 alongside a one-line message on stderr, and the
-difftest verb exits 2 when any cross-check fails.
+difftest verb exits 2 when any cross-check fails.  A standard output
+closed before the report is written exits 1 with no traceback.
 
 Only the parsing, rendering and caching layers are imported up front;
 each verb imports the compute modules it uses, so a process pays for
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
-from .exceptions import MultifracError, ParseError
+from .exceptions import MultifracError, NotAtomic, ParseError
 from .monoid import (
     GeneratorSet,
     accp_obstruction,
@@ -164,6 +165,8 @@ def cmd_factorize(ns) -> dict:
     from .factorizer import SearchCaps, enumerate_factorizations, factorization_to_dict, solve_hub
 
     B = _parse_bases(ns)
+    if B.has_unit_fraction:
+        raise NotAtomic("a unit fraction's powers are not atoms")
     x = parse_rational(ns.x)
     caps = SearchCaps(ns.emax, ns.lenmax)
     hub = solve_hub(x, B) if B.is_canonical else None
@@ -264,8 +267,8 @@ def cmd_delta(ns) -> dict:
 def cmd_unions(ns) -> dict:
     from .lengths import aap_check, union_of_lengths
 
-    if ns.aap_d is not None and (ns.aap_d < 1 or ns.aap_n < 0):
-        raise ParseError("--aap-d must be positive and --aap-n nonnegative")
+    if ns.aap_d is not None and ns.aap_d < 1:
+        raise ParseError("--aap-d must be positive")
     B = _parse_bases(ns)
     report = union_of_lengths(ns.k, B, ns.emax, bound=ns.cap)
     out = {
@@ -378,7 +381,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=_nonnegative_int, default=64)
     p.add_argument("--emax", type=_nonnegative_int, default=4, help="exponent cap (default 4)")
     p.add_argument("--aap-d", type=int, help="also check the members form an AAP")
-    p.add_argument("--aap-n", type=int, default=0, help="AAP fuzz bound")
+    p.add_argument("--aap-n", type=_nonnegative_int, default=0, help="AAP fuzz bound")
 
     p = sub.add_parser("construct", help="nonatomic and delta-realizing generator families")
     p.add_argument("--kind", choices=("nonatomic", "delta"), required=True)
@@ -494,21 +497,28 @@ def main(argv=None) -> int:
     try:
         cmd = parse_command(argv)
         report = run(cmd)
-        if cmd.output == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print("\n".join(_render_text(report)))
-        if cmd.verb == "difftest" and not report["ok"]:
-            return 2
-        if cmd.verb == "construct" and report.get("realized") is False:
-            return 2
-        return 0
     except ParseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except MultifracError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
+    try:
+        if cmd.output == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print("\n".join(_render_text(report)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so that the flush
+        # at exit cannot raise again (the recipe of the `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    if cmd.verb == "difftest" and not report["ok"]:
+        return 2
+    if cmd.verb == "construct" and report.get("realized") is False:
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -75,11 +75,39 @@ class MapComponent(_MapComponentFields):
         return super().__new__(cls, offset, steps)
 
     def contains(self, v: int) -> bool:
-        """Membership by direct subset-sum over the steps."""
-        reach = {self.offset}
-        for d in self.steps:
-            reach = {t + k * d for t in reach if t <= v for k in range((v - t) // d + 1)}
-        return v in reach
+        """Whether v = offset + a sum of steps, the two least decided in O(1).
+
+        Let r = v - offset.  With no step, r must be 0; with one step s,
+        r >= 0 and s | r.  Otherwise let a <= b be the two least steps,
+        g = gcd(a, b), a' = a/g and b' = b/g.  The partial sums t <= r of
+        the other steps are enumerated as a plain subset sum, and r is a
+        member exactly when some n = r - t lies in <a, b>, that is, when
+        g | n and m = n/g lies in <a', b'>.  The Apery set of <a', b'>
+        with respect to a' is {0, b', ..., (a' - 1) b'} (Rosales &
+        Garcia-Sanchez, *Numerical Semigroups*, 2009, ch. 1): b' is
+        invertible modulo a', so a member x a' + y b' lies in the class
+        of i b' (0 <= i < a') exactly when y = i mod a', and then y >= i
+        makes it at least i b', which is itself a member.  So the least
+        member congruent to m modulo a' is j b' with j = m * b'^-1 mod a',
+        and m is a member exactly when j b' <= m.
+        """
+        r = v - self.offset
+        if r < 0:
+            return False
+        if len(self.steps) < 2:
+            return r == 0 if not self.steps else r % self.steps[0] == 0
+        a, b, *rest = sorted(self.steps)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        inv = pow(b, -1, a)
+        reach = {0}
+        for d in rest:
+            reach = {t + k * d for t in reach for k in range((r - t) // d + 1)}
+        for t in reach:
+            n, q = divmod(r - t, g)
+            if q == 0 and n * inv % a * b <= n:
+                return True
+        return False
 
     def is_infinite(self) -> bool:
         return bool(self.steps)

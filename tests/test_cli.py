@@ -57,6 +57,7 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         ["construct", "--kind", "nonatomic", "--seed-primes", "2,x"],
         ["unions", "--bases", "2/3", "--k", "2", "--aap-d", "0"],
         ["unions", "--bases", "2/3", "--k", "2", "--aap-d", "1", "--aap-n", "-1"],
+        ["unions", "--bases", "2/3", "--k", "2", "--aap-n", "-1"],
         ["delta", "--bases", "2/3", "--emax", "-1"],
         ["factorize", "--bases", "2/3", "--x", "2", "--emax", "2", "--lenmax", "7", "--limit", "-1"],
         ["delta", "--bases", "2/3,4/5", "--trials", "-3", "--json"],
@@ -533,6 +534,7 @@ def test_difftest_with_x_is_the_single_case_report(capsys):
 
 UNIT_FRACTION_REFUSALS = [
     ["atoms", "--emax", "2"],
+    ["factorize", "--x", "1", "--emax", "2", "--lenmax", "4"],
     ["lengths", "--x", "1"],
     ["delta", "--x", "1"],
     ["delta", "--trials", "3"],
@@ -599,3 +601,21 @@ def test_bases_options_exclude_each_other(capsys, tmp_path, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error[ParseError]: argument --") and err.count("\n") == 1, err
     assert "not allowed with argument" in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that closes the pipe before the report is written gets
+    exit 1 and no traceback; the report (about 140 kB) overflows the pipe
+    buffer, so the write always meets the closed end."""
+    env = src_env()
+    env.pop("MULTIFRAC_CACHE", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multifrac.cli", "atoms", "--bases", "2/3,4/5", "--emax", "300", "--json"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err, err

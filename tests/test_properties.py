@@ -7,8 +7,9 @@ fractions written here, and `solve_hub` with `hub_normalize`; the
 oracle properties compare the structural code with the oracle (or a
 plain search written here) at caps under which the search provably sees
 every factorization it is compared on.  The last tests check laws of
-every set of lengths, with no oracle, on elements too large for it, and
-the delta-scan horizon against a plain member sieve.
+every set of lengths, with no oracle, on elements too large for it, the
+delta-scan horizon against a plain member sieve, and the two-step
+membership test of `MapComponent.contains` against a plain subset sum.
 The runs are derandomized, so each test sees the same examples on every
 run.
 """
@@ -444,4 +445,48 @@ def test_delta_horizon_sees_every_gap_of_a_wider_sieve(mu):
     steps = [d for c in mu.components for d in c.steps]
     top = 2 * delta_truncation_bound(mu) + 2 * lcm(*steps)
     members = _sieved_members(mu, top)
+    assert delta_of_length_set(mu) == {b - a for a, b in zip(members, members[1:])}
+
+
+# Component membership against the subset sum it replaced.
+
+
+def _subset_sum_contains(c: MapComponent, v: int) -> bool:
+    """Membership by direct subset sum over every step of c."""
+    reach = {c.offset}
+    for d in c.steps:
+        reach = {t + k * d for t in reach if t <= v for k in range((v - t) // d + 1)}
+    return v in reach
+
+
+@st.composite
+def map_components(draw):
+    """Offset at most 10, up to four steps in [1, 15].
+
+    Each step is either any value or a multiple of one drawn g, so steps
+    repeat and share gcds above 1 often.
+    """
+    g = draw(st.integers(1, 5))
+    step = st.one_of(st.integers(1, 15), st.integers(1, 15 // g).map(lambda m: g * m))
+    return MapComponent(draw(st.integers(0, 10)), tuple(draw(st.lists(step, max_size=4))))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(map_components())
+def test_component_membership_equals_the_subset_sum(c):
+    """The Apery test on the two least steps answers as the subset sum
+    over all of them, on every v in [0, 150]."""
+    assert [v for v in range(151) if c.contains(v)] == [
+        v for v in range(151) if _subset_sum_contains(c, v)
+    ]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(map_unions())
+def test_delta_scan_equals_a_subset_sum_scan(mu):
+    """`truncate` and the delta set up to T + 2P read the same members as
+    the subset sum."""
+    top = delta_truncation_bound(mu)
+    members = [v for v in range(top + 1) if any(_subset_sum_contains(c, v) for c in mu.components)]
+    assert mu.truncate(top) == members
     assert delta_of_length_set(mu) == {b - a for a, b in zip(members, members[1:])}
