@@ -278,7 +278,7 @@ def cmd_unions(ns) -> dict:
         "emax": ns.emax,
         "members": list(report.members),
         "elasticity": "inf" if report.elasticity is None else report.elasticity,
-        "complete": False,
+        "complete": report.elasticity is not None,
         "element_count": report.element_count,
     }
     if ns.aap_d is not None:

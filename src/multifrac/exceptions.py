@@ -1,61 +1,61 @@
 """Error types shared across the package.
 
-Each domain error carries a stable ``code`` string so the command-line
-front end can map failures onto exit codes and machine-readable reports.
+Each domain error carries a stable ``code``, its class name, which the
+command-line front end prints in its one-line ``error[code]`` reports.
 """
 
 
 class MultifracError(Exception):
     """Base class for every domain error raised by this package."""
 
-    code = "Error"
+    @property
+    def code(self) -> str:
+        return type(self).__name__
 
 
 class ZeroGenerator(MultifracError):
-    code = "ZeroGenerator"
+    pass
 
 
 class DuplicateBase(MultifracError):
-    code = "DuplicateBase"
+    pass
 
 
 class NotCanonical(MultifracError):
-    code = "NotCanonical"
+    pass
 
 
 class NotAtomic(MultifracError):
-    code = "NotAtomic"
+    pass
 
 
 class BadIndex(MultifracError):
-    code = "BadIndex"
+    pass
 
 
 class ImproperBase(MultifracError):
-    code = "ImproperBase"
+    pass
 
 
 class ValueMismatch(MultifracError):
-    code = "ValueMismatch"
+    pass
 
 
 class NotMember(MultifracError):
-    code = "NotMember"
+    pass
 
 
 class ZeroLength(MultifracError):
-    code = "ZeroLength"
+    pass
 
 
 class BadSeed(MultifracError):
-    code = "BadSeed"
+    pass
 
 
 class BadLevel(MultifracError):
-    code = "BadLevel"
+    pass
 
 
 class ParseError(MultifracError):
     """Malformed textual input; treated as a usage error by the CLI."""
-
-    code = "ParseError"

@@ -307,12 +307,16 @@ class ImproperDivisorReport(NamedTuple):
 def improper_divisor_pairs(x: Rational, B: GeneratorSet) -> ImproperDivisorReport:
     """Enumerate all (y, y') with y + y' = x splitting improper from proper.
 
-    y runs over the sums <= x of units and improper powers b**e <= x;
-    y' must lie in the proper-side monoid, which one `solve_hub` per
-    candidate decides.  The candidates are the values of the target
-    class that `_ImproperSlots` reaches: no other y leaves an x - y
-    whose denominator is coprime to the improper ones.  A set with no
-    improper generator has the one candidate y = 0.
+    y runs over the values `_ImproperSlots` reaches in the target class;
+    y' must lie in the proper-side monoid, which `solve_hub` decides.
+
+    The pairs are fixed by the hub z of x: with y0 the value of z's
+    improper terms and c0 its unit count, they are (y0 + j, x - y0 - j)
+    for 0 <= j <= c0, only j = c0 without a proper generator, only j = 0
+    without an improper one, and none for a non-member.  The hubs of y
+    and x - y use disjoint generators, so their sum, units added, is a
+    factorization of x with every coefficient below d(b): it is z.  So
+    y - y0 is y's unit count j, and c0 - j that of x - y.
     """
     if not B.is_canonical:
         raise NotCanonical("the splitting needs a canonical set")
@@ -510,12 +514,22 @@ def union_of_lengths(
 
     Elements with a k-atom factorization are generated as k-multisets of
     atoms with exponent <= e_max, deduplicated by value; the set of
-    lengths of each is exact.  When some contributing set of lengths is
-    unbounded the elasticity is reported as None (infinite) and that
-    conclusion is exact.  Otherwise it is the longest length of any
-    pooled element, the largest offset of its set, so ``bound`` clips
-    the members but never the elasticity.  The member list is only as
-    complete as the exponent cap, so it is never reported complete.
+    lengths of each is exact.  The elasticity rho_k = sup U_k depends on
+    B alone: with theta = min({n(b) : b < 1} | {d(b) : b > 1}) it is k
+    when k < theta and None (infinite) otherwise (Geroldinger &
+    Halter-Koch, *Non-Unique Factorizations*, 2006; Chapman, Gotti &
+    Gotti, Comm. Algebra 2020, for one generator).
+
+    * k < theta.  A k-atom factorization has every coefficient at most
+      k < d(b), so it is the hub, from which every factorization is
+      reached by upward firings (`hub_normalize` rewrites the other way).
+      None can start: a proper b needs n(b) > k copies of one power, the
+      units counting at exponent 0, and an improper b n(b) > d(b) > k.
+      So every pooled L(x) is {k}, and the members are complete.
+    * k >= theta = n(b), b proper: x = k has k + <d(b) - n(b)> in L(x).
+    * k >= theta = d(b), b improper: x = k * b**e has k in L(x) and,
+      rewriting down from b**e to b, |hub(x)| >= k + e * (n(b) - d(b))
+      for every e.
     """
     if k <= 0:
         raise ZeroLength("unions of sets of lengths start at k = 1")
@@ -524,23 +538,9 @@ def union_of_lengths(
     atoms = canonical_atoms(B, e_max)
     values = {sum((a.value for a in combo), Fraction(0))
               for combo in combinations_with_replacement(atoms, k)}
-    union: set[int] = set()
-    infinite = False
-    longest = 0
-    for x in sorted(values):
-        mu = length_set(x, B)
-        infinite = infinite or mu.is_infinite()
-        longest = max(longest, max(c.offset for c in mu.components))
-        union.update(mu.truncate(bound))
-    members = tuple(sorted(union))
-    elasticity = None if infinite else longest
-    return UnionReport(
-        k=k,
-        bound=bound,
-        members=members,
-        elasticity=elasticity,
-        element_count=len(values),
-    )
+    members = tuple(sorted({v for x in values for v in length_set(x, B).truncate(bound)}))
+    theta = min(b.numerator if b < 1 else b.denominator for b in B.bases)
+    return UnionReport(k, bound, members, k if k < theta else None, len(values))
 
 
 class AapDecomposition(NamedTuple):

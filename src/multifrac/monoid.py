@@ -8,7 +8,8 @@ flags the factorization machinery depends on:
 
 * canonical: no integer generator and pairwise coprime denominators,
   which makes the power-normal-form machinery in `factorizer` applicable;
-* hereditarily atomic: every generator has numerator >= denominator;
+* hereditarily atomic: every generator has numerator >= denominator
+  (a proper one embeds a non-atomic unit-fraction-like tail);
 * accp obstructed: some generator is a proper fraction, which rules out
   the ascending chain condition on principal ideals.
 """
@@ -59,28 +60,34 @@ def classify_cyclic(r: Rational) -> CyclicClassification:
 class GeneratorSet(NamedTuple):
     """Validated, ascending tuple of generators plus structural flags.
 
-    Like every record in this package it is a tuple of its fields, so
-    ``len(B)`` counts fields; the number of generators is ``len(B.bases)``.
+    Like every record in this package it is a tuple of its fields, six
+    of them, so ``len(B)`` is 6; the number of generators is ``len(B.bases)``.
 
     ``proper_part``/``improper_part`` hold indices of the bases below/above
-    1; a base equal to 1 is an integer and lands in neither.  ``minimal``
-    is None when minimality of the generating set is undecided.
-
-    ``is_hereditarily_atomic`` is True when every submonoid of the
-    monoid of B is atomic.  That holds exactly when no generator is a
-    proper fraction; a proper generator embeds a non-atomic
-    unit-fraction-like tail.
+    1; a base equal to 1 is an integer and lands in neither.  Three flags
+    are derived from the split, not stored: ``is_hereditarily_atomic``
+    (no proper generator), ``accp_obstructed`` (its negation) and
+    ``minimal`` (True on a canonical set, None where it is undecided).
     """
 
     bases: tuple[Rational, ...]
     has_unit_fraction: bool
     has_integer: bool
     is_canonical: bool
-    is_hereditarily_atomic: bool
-    accp_obstructed: bool
-    minimal: bool | None
     proper_part: tuple[int, ...]
     improper_part: tuple[int, ...]
+
+    @property
+    def is_hereditarily_atomic(self) -> bool:
+        return not self.proper_part
+
+    @property
+    def accp_obstructed(self) -> bool:
+        return bool(self.proper_part)
+
+    @property
+    def minimal(self) -> bool | None:
+        return True if self.is_canonical else None
 
     def flags(self) -> dict[str, bool | None]:
         return {
@@ -110,24 +117,17 @@ def build_generator_set(bases) -> GeneratorSet:
         if a == b:
             raise DuplicateBase(f"duplicate generator {a}")
 
-    has_unit = any(b.numerator == 1 and b.denominator > 1 for b in ordered)
     has_int = any(b.denominator == 1 for b in ordered)
     coprime = all(
         gcd(a.denominator, b.denominator) == 1
         for i, a in enumerate(ordered)
         for b in ordered[i + 1 :]
     )
-    canonical = not has_int and coprime
-    hereditary = all(b >= 1 for b in ordered)
-    obstructed = any(b < 1 for b in ordered)
     return GeneratorSet(
         bases=ordered,
-        has_unit_fraction=has_unit,
+        has_unit_fraction=any(b.numerator == 1 and b.denominator > 1 for b in ordered),
         has_integer=has_int,
-        is_canonical=canonical,
-        is_hereditarily_atomic=hereditary,
-        accp_obstructed=obstructed,
-        minimal=True if canonical else None,
+        is_canonical=not has_int and coprime,
         proper_part=tuple(i for i, b in enumerate(ordered) if b < 1),
         improper_part=tuple(i for i, b in enumerate(ordered) if b > 1),
     )

@@ -376,8 +376,19 @@ def test_finite_unions_elasticity_does_not_depend_on_cap(capsys):
         code, out, _ = invoke(capsys, argv)
         assert code == 0
         reports.append(json.loads(out))
-    assert reports[0]["elasticity"] == reports[1]["elasticity"] == 13
+    # k = 3 reaches theta = d(3/2) = 2, so the elasticity is infinite at any cap.
+    assert reports[0]["elasticity"] == reports[1]["elasticity"] == "inf"
     assert reports[0]["members"] == [2]
+
+
+def test_unions_below_theta_are_complete(capsys):
+    """theta = min(n(3/5), n(4/7)) = 3, so U_2 = {2} exactly."""
+    code, out, _ = invoke(capsys, ["unions", "--bases", "3/5,4/7", "--k", "2", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["members"] == [2]
+    assert data["elasticity"] == 2
+    assert data["complete"] is True
 
 
 def test_unions_with_aap_check(capsys):

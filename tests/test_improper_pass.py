@@ -7,18 +7,23 @@ improper lengths of one value at a time, a separate level pass gave the
 candidate values, and `length_set` took one of three routes by the
 proper/improper makeup of the set.  That older code is kept here, as
 it was, so that the two stay independent routes to the same answers.
-The runs are derandomized, so each test sees the same examples on every
-run.
+
+Two more references read everything off the one hub of x: the
+splittings, which are the hub's improper part plus any share of its
+units, and L(x) itself, as a union over the ways of spending the units
+on kick-offs of the generators (`allocation_length_set`).  The runs are
+derandomized, so each test sees the same examples on every run.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import improper_reduction
-from multifrac.factorizer import solve_hub, witness_families
+from multifrac.factorizer import SearchCaps, solve_hub, witness_families
 from multifrac.lengths import (
     MapComponent,
     MapUnion,
@@ -221,3 +226,101 @@ def test_improper_lengths_equal_the_old_search_on_non_canonical_sets(data, B):
     assert improper_lengths(y, B) == old_improper_lengths(y, B)
     for off in (y + Fraction(1, 5), y - 1, Fraction(0)):
         assert improper_lengths(off, B) == old_improper_lengths(off, B)
+
+
+def hub_pairs(x, B):
+    """The splittings read off the hub z of x: (y0 + j, x - y0 - j) for
+    0 <= j <= c0, y0 the value of z's improper terms and c0 its units;
+    only j = c0 without a proper generator, only j = 0 without an
+    improper one, and none for a non-member."""
+    z = solve_hub(x, B)
+    if z is None:
+        return ()
+    y0 = sum((c * B.bases[i] ** e for i, e, c in z.terms if B.bases[i] > 1), Fraction(0))
+    js = range(z.c0 + 1)
+    if not B.proper_part:
+        js = [z.c0]
+    elif not B.improper_part:
+        js = [0]
+    return tuple((y0 + j, x - y0 - j) for j in js)
+
+
+def _self_derived_caps(x, B):
+    """The largest exponent of an improper power at most x, and floor(x)."""
+    e_top = 0
+    for b in B.bases:
+        while b > 1 and b ** (e_top + 1) <= x:
+            e_top += 1
+    return SearchCaps(e_max=e_top, len_max=int(x))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.data(), canonical_sets().filter(lambda B: len(B.bases) <= 3))
+def test_splittings_are_read_off_one_hub(data, B):
+    x = data.draw(heavy_elements(B))
+    if data.draw(st.integers(0, 99)) < 15:
+        x += Fraction(1, 11)
+    report = improper_divisor_pairs(x, B)
+    assert report.pairs == hub_pairs(x, B)
+    assert report.caps == _self_derived_caps(x, B)
+
+
+def allocation_length_set(x, B):
+    """L(x) as the union over the allocations of the hub's units.
+
+    With z the hub of x and c0 its unit count, V holds the proper
+    generators with some coefficient of z at least n(b).  Each proper
+    subset U with sum of n(b) over U at most c0 funds the steps
+    d(b) - n(b) over V | U.  The rest of the units fund k_b unit-level
+    firings of each improper b (every k_b but the last free, the last as
+    large as the rest allows); firing b as often as it can, level by
+    level, F_b(k_b) times in all, bounds how often it fires, and every
+    count t_b in [0, F_b(k_b)] takes (n(b) - d(b)) * t_b off |z|.
+    """
+    z = solve_hub(x, B)
+    if z is None:
+        return MapUnion()
+    nums = [b.numerator for b in B.bases]
+    dens = [b.denominator for b in B.bases]
+    coeff = {(i, e): c for i, e, c in z.terms}
+    v = {i for i, _, c in z.terms if i in B.proper_part and c >= nums[i]}
+
+    def allocations(bases, budget):
+        if not bases:
+            yield ()
+        elif len(bases) == 1:
+            yield (budget // nums[bases[0]],)
+        else:
+            for k in range(budget // nums[bases[0]] + 1):
+                for rest in allocations(bases[1:], budget - k * nums[bases[0]]):
+                    yield (k, *rest)
+
+    def cascade(i, k):
+        carry = total = k
+        e = 1
+        while carry:
+            carry = (coeff.get((i, e), 0) + carry * dens[i]) // nums[i]
+            total += carry
+            e += 1
+        return total
+
+    comps = []
+    for size in range(len(B.proper_part) + 1):
+        for u in combinations(B.proper_part, size):
+            budget = z.c0 - sum(nums[i] for i in u)
+            if budget < 0:
+                continue
+            steps = tuple(dens[i] - nums[i] for i in sorted(v.union(u)))
+            for ks in allocations(B.improper_part, budget):
+                boxes = [range(cascade(i, k) + 1) for i, k in zip(B.improper_part, ks)]
+                for ts in product(*boxes):
+                    drop = sum((nums[i] - dens[i]) * t for i, t in zip(B.improper_part, ts))
+                    comps.append(MapComponent(z.length - drop, steps))
+    return MapUnion(comps)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.data(), canonical_sets())
+def test_length_set_equals_the_allocation_route(data, B):
+    x = data.draw(heavy_elements(B))
+    assert length_set(x, B) == allocation_length_set(x, B)

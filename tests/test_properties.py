@@ -8,8 +8,10 @@ oracle properties compare the structural code with the oracle (or a
 plain search written here) at caps under which the search provably sees
 every factorization it is compared on.  The last tests check laws of
 every set of lengths, with no oracle, on elements too large for it, the
-delta-scan horizon against a plain member sieve, and the two-step
-membership test of `MapComponent.contains` against a plain subset sum.
+delta-scan horizon against a plain member sieve, the two-step
+membership test of `MapComponent.contains` against a plain subset sum,
+and the elasticity of `union_of_lengths` against its enumeration and
+its witnesses.
 The runs are derandomized, so each test sees the same examples on every
 run.
 """
@@ -41,6 +43,7 @@ from multifrac.lengths import (
     improper_divisor_pairs,
     improper_lengths,
     length_set,
+    union_of_lengths,
 )
 from multifrac.monoid import build_generator_set, proper_reduction
 
@@ -490,3 +493,33 @@ def test_delta_scan_equals_a_subset_sum_scan(mu):
     members = [v for v in range(top + 1) if any(_subset_sum_contains(c, v) for c in mu.components)]
     assert mu.truncate(top) == members
     assert delta_of_length_set(mu) == {b - a for a, b in zip(members, members[1:])}
+
+
+# --------------------------------------------------------------------------
+# The elasticity rho_k, read off theta = min({n(b) : b < 1} | {d(b) : b > 1}).
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    st.data(),
+    st.one_of(proper_sets(), improper_sets().filter(lambda B: B.is_canonical), mixed_sets()),
+)
+def test_elasticity_is_k_below_theta_and_infinite_from_it(data, B):
+    """Below theta the enumeration finds only the length k at every cap;
+    from theta on, x = k (b proper, n(b) = theta) has an infinite L(x),
+    and x = k * b**e (b improper, d(b) = theta) a hub of length at least
+    k + e * (n(b) - d(b)), so U_k is unbounded."""
+    theta = min(b.numerator if b < 1 else b.denominator for b in B.bases)
+    k = data.draw(st.integers(1, min(theta - 1, 2)))
+    for e_max in (1, 2, 3):
+        report = union_of_lengths(k, B, e_max, bound=k + 10)
+        assert report.members == (k,)
+        assert report.elasticity == k
+    k = data.draw(st.integers(theta, theta + 1))
+    assert union_of_lengths(k, B, 1).elasticity is None
+    for b in B.bases:
+        if b < 1 and b.numerator == theta:
+            assert length_set(Fraction(k), B).is_infinite()
+        if b > 1 and b.denominator == theta:
+            e = data.draw(st.integers(1, 3))
+            assert solve_hub(k * b**e, B).length >= k + e * (b.numerator - b.denominator)

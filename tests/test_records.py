@@ -25,8 +25,7 @@ def test_reprs_are_pinned():
     )
     assert repr(build_generator_set([Fraction(3, 2), Fraction(2, 5)])) == (
         "GeneratorSet(bases=(Fraction(2, 5), Fraction(3, 2)), has_unit_fraction=False, "
-        "has_integer=False, is_canonical=True, is_hereditarily_atomic=False, "
-        "accp_obstructed=True, minimal=True, proper_part=(0,), improper_part=(1,))"
+        "has_integer=False, is_canonical=True, proper_part=(0,), improper_part=(1,))"
     )
 
 
