@@ -187,12 +187,7 @@ def cmd_factorize(ns) -> dict:
 
 def cmd_lengths(ns) -> dict:
     from .factorizer import factorization_to_dict, solve_hub, witness_families
-    from .lengths import (
-        delta_of_length_set,
-        improper_divisor_pairs,
-        is_single_difference,
-        length_set,
-    )
+    from .lengths import delta_of_length_set, is_single_difference, length_set
 
     B = _parse_bases(ns)
     x = parse_rational(ns.x)
@@ -212,8 +207,6 @@ def cmd_lengths(ns) -> dict:
     }
     if not B.improper_part:
         report["families"] = [list(f) for f in witness_families(hub, B)]
-    elif B.proper_part:
-        report["splittings"] = improper_divisor_pairs(x, B).to_dict()
     return report
 
 

@@ -15,9 +15,11 @@ only finitely many lengths per value, found by a complete search on
 integers (every value scaled by a power of the improper denominators).
 Every factorization splits across the proper/improper divide,
 x = y + y', so L(x) is a finite union of the improper lengths of y plus
-shifted proper-side length sets of y'; one pass over the improper
-powers yields the candidate values y with their improper lengths, and
-each gets one hub solve on the proper side.
+shifted proper-side length sets of y'.  One function, `_splittings`,
+makes one pass over the improper powers for the candidates y with their
+improper lengths and one proper-side hub solve per candidate; both
+`length_set` and `improper_divisor_pairs` read it.  The splittings are
+also read off the hub of x (see `improper_divisor_pairs`).
 
 Derived invariants (delta sets, unions of sets of lengths, almost
 arithmetic progressions) are computed from these descriptions with
@@ -40,7 +42,6 @@ from .exceptions import (
 )
 from .factorizer import (
     Factorization,
-    SearchCaps,
     evaluate,
     solve_hub,
     witness_families,
@@ -50,7 +51,7 @@ from .monoid import (
     canonical_atoms,
     proper_reduction,
 )
-from .qcore import Rational, format_rational
+from .qcore import Rational
 
 
 class _MapComponentFields(NamedTuple):
@@ -164,26 +165,26 @@ def _proper_components(offset: int, families, B: GeneratorSet) -> list[MapCompon
     return [MapComponent(offset, tuple(steps[i] for i in fam)) for fam in families]
 
 
-class _ImproperSlots:
-    """The improper lengths of every value y <= x that a splitting of x can use.
+def _splittings(
+    x: Rational, B: GeneratorSet, B_prop: GeneratorSet
+) -> list[tuple[Fraction, set[int], Factorization]]:
+    """(y, improper lengths of y, hub of x - y over B_prop) for every splitting.
 
-    Only the bases of B above 1 take part, and the lengths need no
-    canonical set; the splitting does.
+    A splitting is x = y + y' with y a sum of improper atoms and y' in
+    the monoid of B_prop = `proper_reduction(B)`; they come in
+    increasing y.  Only the bases of B above 1 make improper atoms.
 
     A complete search on integers.  Every improper atom is at least 1,
-    so a factorization of y <= x uses only powers b**e <= x and has at
-    most floor(x) atoms; ``caps`` records these bounds, E = caps.e_max
-    being the largest exponent of such a power.  Every power b**e <= x
-    has a denominator dividing D = ``scale`` = prod d(b)**E, so every
-    value is multiplied by D and the question stays exact on ints.  The
-    slots are the powers b**e <= x, base by base with the highest
-    exponent first; the unit atom 1 scales to D.
+    so a factorization of y <= x uses only powers b**e <= x, E being the
+    largest such exponent.  Every such power has a denominator dividing
+    D = prod d(b)**E, so every value is multiplied by D and the question
+    stays exact on ints.  The slots are the powers b**e <= x, base by
+    base with the highest exponent first; the unit atom 1 scales to D.
 
-    The target class.  A splitting x = y + y' needs y' in the proper-side
-    monoid, whose denominators are coprime to D on a canonical set.  So
-    Y = D * y must be congruent modulo D to r = D * x, its denominator
-    inverted modulo D, and no y exists when that denominator shares a
-    prime with D.  For y = x, as `improper_lengths` asks, r is Y mod D.
+    The target class.  y' needs a denominator coprime to D on a
+    canonical set, so Y = D * y must be congruent modulo D to r = D * x,
+    its denominator inverted modulo D, and no y exists when that
+    denominator shares a prime with D.
 
     The pass.  One walk over the power slots keeps every partial sum at
     most D * x together with the set of slot counts that reach it; two
@@ -202,79 +203,59 @@ class _ImproperSlots:
     The sweep.  A factorization of Y either uses no unit or is one of
     Y - D plus a unit, so lengths(Y) = (lengths(Y - D) + 1) | counts(Y).
     Walking the class upward from its least surviving sum to D * x
-    gives ``lengths``, each candidate y mapped to its improper lengths,
-    in increasing y.  Without an improper generator there is no improper
-    atom, and the one candidate is y = 0 with the length 0.  The pass
-    shares nothing with `enumerate_factorizations`, against which the
-    tests check it.
+    gives each candidate y with its improper lengths, and one
+    `solve_hub` of x - y over B_prop keeps the splittings.  Without an
+    improper generator there is no improper atom, and the one candidate
+    is y = 0 with the length 0.  The pass shares nothing with
+    `enumerate_factorizations`, against which the tests check it.
     """
-
-    def __init__(self, x: Rational, B: GeneratorSet):
-        bases = [B.bases[i] for i in B.improper_part]
-        self.x = Fraction(x)
-        e_top = 0
-        for b in bases:
-            while b ** (e_top + 1) <= x:
-                e_top += 1
-        self.caps = SearchCaps(e_max=e_top, len_max=int(x))
-        scale = 1
-        for b in bases:
-            scale *= b.denominator**e_top
-        self.scale = scale
-        self.lengths: dict[Fraction, set[int]] = {}
-        target = self.x * scale
-        if gcd(target.denominator, scale) != 1:
-            return
-        top = target.numerator // target.denominator
-        r = target.numerator * pow(target.denominator, -1, scale) % scale
-        values = [
-            b.numerator**e * (scale // b.denominator**e)
-            for b in bases
-            for e in range(e_top, 0, -1)
-        ]
-        values = [v for v in values if v <= top]
-        # gcds[k]: the gcd of slot k, every later slot and the unit.
-        gcds = [scale]
-        for v in reversed(values):
-            gcds.append(gcd(v, gcds[-1]))
-        gcds.reverse()
-        level = {0: {0}} if r % gcds[0] == 0 else {}
-        for v, h, g in zip(values, gcds, gcds[1:]):
-            step = g // h
-            inv = pow(v // h, -1, step)
-            grown: dict[int, set[int]] = {}
-            for s, counts in level.items():
-                c = (r - s) // h * inv % step
-                while s + c * v <= top:
-                    grown.setdefault(s + c * v, set()).update(n + c for n in counts)
-                    c += step
-            level = grown
-        if not level:
-            return
-        lens: set[int] = set()
-        for Y in range(min(level), top + 1, scale) if bases else (0,):
-            lens = {n + 1 for n in lens} | level.get(Y, set())
-            self.lengths[Fraction(Y, scale)] = lens
-
-    def splitting(self, B_prop: GeneratorSet) -> list[tuple[Fraction, Factorization]]:
-        """(y, hub of x - y) for every splitting, in increasing y (see `improper_divisor_pairs`)."""
-        split = []
-        for y in self.lengths:
-            hub = solve_hub(self.x - y, B_prop)
-            if hub is not None:
-                split.append((y, hub))
-        return split
-
-
-def improper_lengths(y: Rational, B_imp: GeneratorSet) -> set[int]:
-    """All factorization lengths of y over an all-improper set.
-
-    The set need not be canonical: the search of `_ImproperSlots` only
-    scales by the denominators.
-    """
-    if any(b <= 1 for b in B_imp.bases):
-        raise ValueError("improper lengths need every base above 1")
-    return _ImproperSlots(y, B_imp).lengths.get(Fraction(y), set())
+    bases = [B.bases[i] for i in B.improper_part]
+    x = Fraction(x)
+    e_top = 0
+    for b in bases:
+        while b ** (e_top + 1) <= x:
+            e_top += 1
+    scale = 1
+    for b in bases:
+        scale *= b.denominator**e_top
+    target = x * scale
+    if gcd(target.denominator, scale) != 1:
+        return []
+    top = target.numerator // target.denominator
+    r = target.numerator * pow(target.denominator, -1, scale) % scale
+    values = [
+        b.numerator**e * (scale // b.denominator**e)
+        for b in bases
+        for e in range(e_top, 0, -1)
+    ]
+    values = [v for v in values if v <= top]
+    # gcds[k]: the gcd of slot k, every later slot and the unit.
+    gcds = [scale]
+    for v in reversed(values):
+        gcds.append(gcd(v, gcds[-1]))
+    gcds.reverse()
+    level = {0: {0}} if r % gcds[0] == 0 else {}
+    for v, h, g in zip(values, gcds, gcds[1:]):
+        step = g // h
+        inv = pow(v // h, -1, step)
+        grown: dict[int, set[int]] = {}
+        for s, counts in level.items():
+            c = (r - s) // h * inv % step
+            while s + c * v <= top:
+                grown.setdefault(s + c * v, set()).update(n + c for n in counts)
+                c += step
+        level = grown
+    if not level:
+        return []
+    split = []
+    lens: set[int] = set()
+    for Y in range(min(level), top + 1, scale) if bases else (0,):
+        lens = {n + 1 for n in lens} | level.get(Y, set())
+        y = Fraction(Y, scale)
+        hub = solve_hub(x - y, B_prop)
+        if hub is not None:
+            split.append((y, lens, hub))
+    return split
 
 
 class ImproperDivisorReport(NamedTuple):
@@ -282,49 +263,31 @@ class ImproperDivisorReport(NamedTuple):
 
     y runs over the submonoid spanned by the improper generators plus
     units, y' over the proper-side monoid.  Both sides may absorb units;
-    the union over all pairs is unaffected by that overlap.  ``caps``
-    records the bounds self-derived from x that the enumeration ran
-    with; the enumeration is exhaustive, so the report is always
-    complete.
+    the union over all pairs is unaffected by that overlap.
     """
 
-    x: Rational
     pairs: tuple[tuple[Rational, Rational], ...]
-    caps: SearchCaps
-
-    def to_dict(self) -> dict:
-        """The ``splittings`` object of a mixed `lengths` report; it omits x."""
-        return {
-            "pairs": [
-                {"improper": format_rational(y), "proper": format_rational(yp)}
-                for y, yp in self.pairs
-            ],
-            "caps": {"e_max": self.caps.e_max, "len_max": self.caps.len_max},
-            "complete": True,
-        }
 
 
 def improper_divisor_pairs(x: Rational, B: GeneratorSet) -> ImproperDivisorReport:
     """Enumerate all (y, y') with y + y' = x splitting improper from proper.
 
-    y runs over the values `_ImproperSlots` reaches in the target class;
-    y' must lie in the proper-side monoid, which `solve_hub` decides.
-
-    The pairs are fixed by the hub z of x: with y0 the value of z's
-    improper terms and c0 its unit count, they are (y0 + j, x - y0 - j)
-    for 0 <= j <= c0, only j = c0 without a proper generator, only j = 0
-    without an improper one, and none for a non-member.  The hubs of y
-    and x - y use disjoint generators, so their sum, units added, is a
-    factorization of x with every coefficient below d(b): it is z.  So
-    y - y0 is y's unit count j, and c0 - j that of x - y.
+    The pairs are those of `_splittings`.  They are fixed by the hub z
+    of x: with y0 the value of z's improper terms and c0 its unit count,
+    they are (y0 + j, x - y0 - j) for 0 <= j <= c0, only j = c0 without
+    a proper generator, only j = 0 without an improper one, and none for
+    a non-member.  The hubs of y and x - y use disjoint generators, so
+    their sum, units added, is a factorization of x with every
+    coefficient below d(b): it is z.  So y - y0 is y's unit count j, and
+    c0 - j that of x - y.
     """
     if not B.is_canonical:
         raise NotCanonical("the splitting needs a canonical set")
     if x < 0:
         raise NotMember(f"{x} is negative")
-    slots = _ImproperSlots(x, B)
-    pairs = tuple((y, slots.x - y) for y, _ in slots.splitting(proper_reduction(B)))
-    return ImproperDivisorReport(slots.x, pairs, slots.caps)
+    return ImproperDivisorReport(
+        tuple((y, x - y) for y, _, _ in _splittings(x, B, proper_reduction(B)))
+    )
 
 
 def length_set(x: Rational, B: GeneratorSet) -> MapUnion:
@@ -354,14 +317,13 @@ def length_set(x: Rational, B: GeneratorSet) -> MapUnion:
     if B.improper_part and solve_hub(x, B) is None:
         raise NotMember(f"{x} is not in the monoid")
     B_prop = proper_reduction(B)
-    slots = _ImproperSlots(x, B)
-    split = slots.splitting(B_prop)
+    split = _splittings(x, B, B_prop)
     if not split:
         raise NotMember(f"{x} is not in the monoid")
     comps = []
-    for y, hub_yp in split:
+    for _, lens, hub_yp in split:
         families = witness_families(hub_yp, B_prop)
-        for n in slots.lengths[y]:
+        for n in lens:
             comps.extend(_proper_components(hub_yp.length + n, families, B_prop))
     return MapUnion(comps)
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import SRC, src_env
+from multifrac import lengths
 from multifrac.check import difftest
 from multifrac.cli import Command, main, parse_command, run
 from multifrac.exceptions import NotCanonical
@@ -165,12 +166,32 @@ def test_run_returns_the_report_dict():
     assert report["single_difference"] == 1
 
 
-def test_lengths_mixed_reports_splittings():
-    cmd = parse_command(["lengths", "--bases", "2/3,5/2", "--x", "2/1"])
-    report = run(cmd)
-    assert "families" not in report
-    assert report["splittings"]["complete"] is True
-    assert len(report["splittings"]["pairs"]) == 3
+def test_lengths_mixed_runs_the_improper_pass_once(capsys, monkeypatch):
+    """A mixed `lengths` makes one improper pass, and its splittings are
+    read off the printed hub: (y0 + j, x - y0 - j) for 0 <= j <= c0,
+    y0 the value of the improper terms and c0 the units."""
+    monkeypatch.delenv("MULTIFRAC_CACHE", raising=False)
+    calls = []
+    inner = lengths._splittings
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(lengths, "_splittings", counted)
+    code, out, _ = invoke(capsys, ["lengths", "--bases", "3/2,2/5", "--x", "7", "--json"])
+    assert code == 0 and len(calls) == 1
+    report = json.loads(out)
+    assert "families" not in report and "splittings" not in report
+    hub = report["hub"]
+    y0 = sum(
+        (t["coeff"] * Fraction(t["base"]) ** t["exp"] for t in hub["terms"] if Fraction(t["base"]) > 1),
+        Fraction(0),
+    )
+    x = Fraction(7)
+    pairs = tuple((y0 + j, x - y0 - j) for j in range(hub["c0"] + 1))
+    B = build_generator_set([Fraction(3, 2), Fraction(2, 5)])
+    assert pairs == lengths.improper_divisor_pairs(x, B).pairs
 
 
 def test_cache_write_and_read_back(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -26,7 +27,6 @@ from multifrac.lengths import (
     delta_sample,
     delta_truncation_bound,
     improper_divisor_pairs,
-    improper_lengths,
     is_single_difference,
     length_set,
     union_of_lengths,
@@ -186,20 +186,26 @@ def test_structural_set_matches_enumeration_inside_safe_window():
 
 
 def test_improper_lengths_are_complete_and_match_oracle():
+    """Over an all-improper set every atom is at least 1, so no length
+    of y exceeds y and the set is finite."""
     rng = random.Random(41)
-    for _ in range(10):
+    checked = 0
+    while checked < 10:
         z = random_factorization(rng, HEREDITARY, e_max=2, c_top=2)
         y = evaluate(z, HEREDITARY)
-        lens = improper_lengths(y, HEREDITARY)
+        if y == 0:
+            continue
+        mu = length_set(y, HEREDITARY)
         brute = {
             w.length
             for w in enumerate_factorizations(y, HEREDITARY, SearchCaps(6, int(y)))
         }
-        assert lens == brute
-        assert z.length in lens
-    assert improper_lengths(Fraction(0), HEREDITARY) == {0}
-    with pytest.raises(ValueError):
-        improper_lengths(Fraction(2), MIXED)
+        assert not mu.is_infinite()
+        assert set(mu.truncate(int(y))) == brute
+        assert z.length in brute
+        checked += 1
+    with pytest.raises(NotMember):
+        length_set(Fraction(0), HEREDITARY)
 
 
 def test_improper_divisor_pairs_frozen():
@@ -209,20 +215,12 @@ def test_improper_divisor_pairs_frozen():
         (Fraction(1), Fraction(1)),
         (Fraction(2), Fraction(0)),
     )
-    assert rep.to_dict()["complete"] is True
 
     rep = improper_divisor_pairs(Fraction(2, 3), MIXED)
     assert rep.pairs == ((Fraction(0), Fraction(2, 3)),)
 
     zero = improper_divisor_pairs(Fraction(0), MIXED)
     assert zero.pairs == ((Fraction(0), Fraction(0)),)
-
-
-def test_improper_divisor_report_dict_is_the_splittings_object():
-    """to_dict() is what `lengths` prints under "splittings": no echo of x."""
-    d = improper_divisor_pairs(Fraction(2), MIXED).to_dict()
-    assert list(d) == ["pairs", "caps", "complete"]
-    assert d["pairs"][1] == {"improper": "1/1", "proper": "1/1"}
 
 
 def test_unit_fractions_have_no_length_sets():
@@ -236,23 +234,17 @@ def test_unit_fractions_have_no_length_sets():
             delta_sample(B, [])
 
 
-def test_improper_divisor_pairs_report_caps():
-    """The reported caps are the bounds self-derived from x: 5/2 > 2
-    leaves no improper power, and no factorization of 2 is longer than 2."""
-    rep = improper_divisor_pairs(Fraction(2), MIXED)
-    assert rep.caps == SearchCaps(0, 2)
-    assert rep.to_dict()["caps"] == {"e_max": 0, "len_max": 2}
-
-
 def test_mixed_length_set_frozen():
     assert length_set(Fraction(2), MIXED).truncate(12) == list(range(2, 13))
     assert length_set(Fraction(5, 2), MIXED).truncate(10) == [1]
 
 
 def test_length_set_dispatch_agrees_with_special_routes():
-    assert set(length_set(Fraction(5), HEREDITARY).truncate(10)) == improper_lengths(
-        Fraction(5), HEREDITARY
-    )
+    """The all-improper case of `length_set` against the oracle, whose caps
+    see every factorization of 5: no square of a base is at most 5, and
+    every atom is at least 1."""
+    brute = {w.length for w in enumerate_factorizations(Fraction(5), HEREDITARY, SearchCaps(2, 5))}
+    assert set(length_set(Fraction(5), HEREDITARY).truncate(10)) == brute
 
 
 def test_mixed_length_set_matches_enumeration_window():
@@ -310,23 +302,38 @@ def test_single_difference_detector():
     assert is_single_difference(build_generator_set([])) is None
 
 
+def _single_difference_set(rng, d: int):
+    """One to three bases n/q with |n - q| = d, each drawn below or above 1,
+    with pairwise coprime denominators q <= 12 and no unit fraction."""
+    bases: list[Fraction] = []
+    size = rng.randint(1, 3)
+    while len(bases) < size:
+        q = rng.randint(2, 12)
+        n = q + rng.choice([-d, d])
+        if n < 2 or gcd(n, q) > 1 or any(gcd(q, b.denominator) > 1 for b in bases):
+            continue
+        bases.append(Fraction(n, q))
+    return build_generator_set(bases)
+
+
 def test_single_difference_controls_all_gaps():
     """Whenever all generators share one numerator-denominator gap d,
-    every sampled delta set is {d} or empty."""
+    every sampled delta set is {d} or empty, over proper, all-improper
+    and mixed sets alike (`delta` reports `exact` on this)."""
     rng = random.Random(47)
-    seen = 0
-    while seen < 15:
-        B = random_canonical_set(rng, max_bases=2, max_den=12, proper_only=True)
-        d = is_single_difference(B)
-        if d is None:
-            continue
-        for _ in range(4):
-            z = random_factorization(rng, B, e_max=2, c_top=3)
+    makeups = set()
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        B = _single_difference_set(rng, d)
+        assert is_single_difference(B) == d
+        makeups.add((bool(B.proper_part), bool(B.improper_part)))
+        for _ in range(5):
+            z = random_factorization(rng, B, e_max=2, c_top=5)
             x = evaluate(z, B)
             if x == 0:
                 continue
             assert delta_of_element(x, B) <= {d}
-        seen += 1
+    assert makeups == {(True, False), (False, True), (True, True)}
 
 
 def _sampled_deltas(B, sample):
