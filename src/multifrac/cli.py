@@ -143,13 +143,16 @@ def cmd_member(ns) -> dict:
 def _enumeration_complete(B: GeneratorSet, hub, caps) -> bool:
     """Whether the bounded search provably saw every factorization in range.
 
-    Over proper fractions L(x) is infinite exactly when the hub has a
-    nonempty witness family, and then the search must reach len_max.
+    On a canonical set `solve_hub` decides membership, so no hub proves
+    that x has no factorization and the empty search is complete; on any
+    other set there is no hub to read.  Over proper fractions L(x) is
+    infinite exactly when the hub has a nonempty witness family, and then
+    the search must reach len_max.
     """
     from .factorizer import witness_families
 
     if hub is None:
-        return False
+        return B.is_canonical
     if B.proper_part and B.improper_part:
         return False
     if not B.improper_part:

@@ -29,6 +29,7 @@ explicit truncation bounds wherever the set itself is infinite.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from typing import NamedTuple
@@ -90,17 +91,16 @@ class MapComponent(_MapComponentFields):
         of i b' (0 <= i < a') exactly when y = i mod a', and then y >= i
         makes it at least i b', which is itself a member.  So the least
         member congruent to m modulo a' is j b' with j = m * b'^-1 mod a',
-        and m is a member exactly when j b' <= m.
+        and m is a member exactly when j b' <= m.  These constants depend
+        on the steps alone, so a scan that tests many v computes them
+        once (`_apery_constants`).
         """
         r = v - self.offset
         if r < 0:
             return False
         if len(self.steps) < 2:
             return r == 0 if not self.steps else r % self.steps[0] == 0
-        a, b, *rest = sorted(self.steps)
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        inv = pow(b, -1, a)
+        g, a, b, inv, rest = _apery_constants(self.steps)
         reach = {0}
         for d in rest:
             reach = {t + k * d for t in reach for k in range((r - t) // d + 1)}
@@ -112,6 +112,18 @@ class MapComponent(_MapComponentFields):
 
     def is_infinite(self) -> bool:
         return bool(self.steps)
+
+
+@lru_cache(maxsize=1024)
+def _apery_constants(steps: tuple[int, ...]) -> tuple[int, int, int, int, tuple[int, ...]]:
+    """(g, a', b', b'^-1 mod a', the other steps) for `MapComponent.contains`.
+
+    Kept for the last 1024 step tuples, so a long process stays bounded.
+    """
+    a, b, *rest = sorted(steps)
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    return g, a, b, pow(b, -1, a), tuple(rest)
 
 
 class _MapUnionFields(NamedTuple):
@@ -147,8 +159,21 @@ class MapUnion(_MapUnionFields):
         return any(c.is_infinite() for c in self.components)
 
     def truncate(self, bound: int) -> list[int]:
-        """Sorted members in [0, bound]."""
-        return [v for v in range(bound + 1) if self.contains(v)]
+        """Sorted members in [0, bound], testing one residue class only.
+
+        A member v of a component o + <S> is o plus a sum of steps.  Let
+        o_min be the least offset and G the gcd of every step and of
+        every o - o_min.  G divides o - o_min and every step, so it
+        divides v - o_min, and v >= o >= o_min: every member of the union
+        lies in o_min, o_min + G, ..., and the scan tests only those up
+        to bound.  G = 0 only when the union is the single point o_min.
+        """
+        if not self.components:
+            return []
+        low = self.components[0].offset
+        G = gcd(*(d for c in self.components for d in c.steps),
+                *(c.offset - low for c in self.components))
+        return [v for v in range(low, bound + 1, G or 1) if self.contains(v)]
 
     def to_dict(self) -> dict:
         return {

@@ -4,18 +4,44 @@ The helpers draw structured random inputs: canonical generator sets
 respecting the coprime-denominator gate, and random formal
 factorizations over a given set.  Tests seed their own `random.Random`
 so every run is reproducible.  `src_env` is the environment for tests
-that start a fresh interpreter.
+that start a fresh interpreter.  Every test runs under a hang guard.
 """
 
+import faulthandler
 import os
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import pytest
+
 from multifrac.factorizer import Factorization
 from multifrac.monoid import GeneratorSet, build_generator_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Far above the slowest test (under 2 s) and every wall-clock budget of
+# the suite, so the guard only ever ends a hang.
+HANG_LIMIT_S = 300
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture redirects fd 2 while a test runs; the guard writes
+    # to this copy, taken before, so its traceback reaches the terminal.
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def _fail_fast_on_a_hang(request):
+    """Print every thread's stack and exit if one test runs HANG_LIMIT_S."""
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=request.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def src_env() -> dict:

@@ -533,6 +533,16 @@ def test_factorize_lists_and_counts(capsys):
     assert len(data["factorizations"]) == 3
 
 
+def test_factorize_of_a_non_member_is_complete_only_on_a_canonical_set(capsys):
+    """On a canonical set no hub proves Z(x) empty, so the empty answer is
+    complete; a non-canonical set has no hub to read and stays incomplete."""
+    for bases, complete in (("2/3,4/5", True), ("2/3,4/9", False)):
+        code, out, _ = invoke(capsys, ["factorize", "--bases", bases, "--x", "1/7", "--json"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data["count"], data["hub"], data["complete"]) == (0, None, complete)
+
+
 def test_cli_imports_no_private_name_from_a_sibling_module():
     """The front end prints what public calls return: every name it imports
     from another multifrac module is public (a dunder such as the package's

@@ -272,6 +272,28 @@ def test_delta_truncation_bound_frozen():
     mu = length_set(Fraction(2), B25)
     assert delta_truncation_bound(mu) == 8
     assert delta_truncation_bound(MapUnion()) == 0
+    # The larger step's settling term decides: 8 + <12, 13> settles at
+    # 8 + 11 * 12 = 140, where its only gap of 2, from 138, ends.
+    mu = MapUnion([MapComponent(8, (12, 13))])
+    assert delta_truncation_bound(mu) == 142
+    assert delta_of_length_set(mu) == set(range(1, 13))
+    # Classes 13 mod 24 and 5 mod 6 are disjoint, so both count: P = 24.
+    mu = MapUnion([MapComponent(13, (24,)), MapComponent(23, (6,))])
+    assert delta_truncation_bound(mu) == 71
+    assert delta_of_length_set(mu) == {2, 4, 6, 10}
+    # g = 2: the settling point divides the steps by their gcd.
+    assert delta_truncation_bound(MapUnion([MapComponent(0, (4, 6))])) == 8
+
+
+def test_truncate_tests_only_the_class_of_its_members(monkeypatch):
+    """{13 + <24>, 23 + <6>} lies in 13 + 2Z, so a scan of [0, 71] tests
+    the 30 integers 13, 15, ..., 71 and not all 72."""
+    tested = []
+    contains = MapUnion.contains
+    monkeypatch.setattr(MapUnion, "contains", lambda mu, v: tested.append(v) or contains(mu, v))
+    mu = MapUnion([MapComponent(13, (24,)), MapComponent(23, (6,))])
+    assert mu.truncate(71) == [13, 23, 29, 35, 37, 41, 47, 53, 59, 61, 65, 71]
+    assert len(tested) <= 30
 
 
 def test_delta_stable_under_horizon_doubling():

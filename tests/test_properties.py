@@ -8,7 +8,8 @@ oracle properties compare the structural code with the oracle (or a
 plain search written here) at caps under which the search provably sees
 every factorization it is compared on.  The last tests check laws of
 every set of lengths, with no oracle, on elements too large for it, the
-delta-scan horizon against a plain member sieve, the two-step
+delta-scan horizon against a plain member sieve, the strided scan of
+`MapUnion.truncate` against the plain filter, the two-step
 membership test of `MapComponent.contains` against a plain subset sum,
 and the elasticity of `union_of_lengths` against its enumeration and
 its witnesses.
@@ -19,7 +20,7 @@ run.
 from fractions import Fraction
 from math import gcd, lcm
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import improper_reduction
@@ -423,6 +424,36 @@ def map_unions(draw):
         steps = draw(st.lists(st.integers(1, 12 // g), max_size=4))
         components.append(MapComponent(draw(st.integers(0, 30)), tuple(g * m for m in steps)))
     return MapUnion(components)
+
+
+@st.composite
+def one_class_unions(draw):
+    """Two or three components in one class r mod G, for a drawn G > 1.
+
+    Offsets at most 30 are r plus multiples of G, and up to three steps
+    at most 12 are multiples of G, so the union lies in r + G*Z.
+    """
+    G = draw(st.integers(2, 6))
+    r = draw(st.integers(0, G - 1))
+    components = []
+    for _ in range(draw(st.integers(2, 3))):
+        steps = draw(st.lists(st.integers(1, 12 // G), max_size=3))
+        offset = r + G * draw(st.integers(0, (30 - r) // G))
+        components.append(MapComponent(offset, tuple(G * m for m in steps)))
+    return MapUnion(components)
+
+
+@settings(PROPERTY, max_examples=100)
+@example(MapUnion(), 40)
+@example(MapUnion([MapComponent(7)]), 40)
+@example(MapUnion([MapComponent(9, (4, 6))]), 5)
+@example(MapUnion([MapComponent(13, (24,)), MapComponent(23, (6,))]), 71)
+@example(MapUnion([MapComponent(3, (6, 9)), MapComponent(9, (12,))]), 60)
+@given(st.one_of(map_unions(), one_class_unions()), st.integers(0, 80))
+def test_strided_scan_equals_the_plain_filter(mu, bound):
+    """`truncate` tests one residue class only and finds every member the
+    plain filter over [0, bound] finds."""
+    assert mu.truncate(bound) == [v for v in range(bound + 1) if mu.contains(v)]
 
 
 def _sieved_members(mu, top: int) -> list[int]:
